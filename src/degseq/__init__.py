@@ -11,10 +11,7 @@ brute-force oracle over small n backs every counting path.
 
 from .connectivity_counts import (
     BiconnReport,
-    ConnectivityReport,
-    connectivity_report,
     count_b,
-    count_d2_minus_b,
     count_db,
     count_dc_direct,
     count_dc_indirect,
@@ -37,7 +34,6 @@ from .degree_counts import (
 )
 from .errors import (
     DegseqError,
-    LayerNotResidentError,
     MemoryBudgetError,
     MissingPriorError,
     OracleCapError,
@@ -45,46 +41,27 @@ from .errors import (
 from .oracle import (
     DEFAULT_ORACLE_CAP,
     CountReport,
-    classify,
-    dump_graphical,
-    enumerate_even_bounded,
     is_graphical_eg,
-    is_graphical_nw,
     oracle_counts,
 )
-from .partition_table import (
-    DEFAULT_MEMORY_CAP,
-    BoundedPartitionTable,
-    PartitionTable,
-    TableParams,
-    estimate_table_bytes,
-    unrestricted_p,
-)
+from .partition_table import DEFAULT_MEMORY_CAP
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BiconnReport",
-    "BoundedPartitionTable",
-    "ConnectivityReport",
     "CountReport",
     "DEFAULT_MEMORY_CAP",
     "DEFAULT_ORACLE_CAP",
     "DegseqError",
     "DnSeries",
-    "LayerNotResidentError",
     "MemoryBudgetError",
     "MissingPriorError",
     "OracleCapError",
-    "PartitionTable",
     "SumProfile",
-    "TableParams",
-    "classify",
-    "connectivity_report",
     "count_b",
     "count_by_largest",
     "count_d0",
-    "count_d2_minus_b",
     "count_d_basic",
     "count_d_improved",
     "count_db",
@@ -94,15 +71,10 @@ __all__ = [
     "count_h",
     "count_l",
     "count_s",
-    "dump_graphical",
-    "enumerate_even_bounded",
-    "estimate_table_bytes",
     "extend_series",
     "is_graphical_eg",
-    "is_graphical_nw",
     "oracle_counts",
     "profile",
     "read_series_file",
     "write_series_file",
-    "unrestricted_p",
 ]

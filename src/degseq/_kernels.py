@@ -1,9 +1,9 @@
-"""Layer-fill kernels for the four-parameter partition table.
+"""Layer fill for the four-parameter partition table.
 
-Both kernels advance the rolling fill by one layer: given the finished
-layer at l-1 (``prev``) they produce layer l (``cur``).  A layer is a list
-of flat object-dtype arrays, one per largest-part bound k; the ragged
-(N, s) grid of a slice is packed row-major with row N starting at
+``fill_layer`` advances the rolling fill by one layer: given the
+finished layer at l-1 (``prev``) it produces layer l (``cur``).  A layer
+is a list of flat object-dtype arrays, one per largest-part bound k; the
+ragged (N, s) grid of a slice is packed row-major with row N starting at
 ``off[N]`` and holding s = 0..N.
 
 The cell recurrence, with D the shifted lookup into layer l-1:
@@ -13,8 +13,7 @@ The cell recurrence, with D the shifted lookup into layer l-1:
     D = cell(N-k-l+1, k-1, l-1, s+l-k-1), zero when either the sum or the
         slack argument goes negative, with the slack clamped at the new sum.
 
-``fill_layer_vector`` is the production kernel.  It exploits two
-zero/constant structures that the reference kernel ignores:
+The fill exploits two zero/constant structures of the recurrence:
 
   * rows with N > k*l count partitions that cannot exist, so they are
     skipped and kept materialized as zeros for downstream slice reads;
@@ -22,20 +21,14 @@ zero/constant structures that the reference kernel ignores:
     prefix-slack deficit of a partition with parts <= k never exceeds
     j*(k+1-j)), so only that prefix is computed and the tail is a
     broadcast of the saturated value.
-
-``fill_layer_reference`` is a direct per-cell transcription used to
-cross-check the vector kernel and as a fallback; it computes every cell
-of every row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-Layer = "list[np.ndarray]"
 
-
-def fill_layer_vector(cur, prev, l, off, max_sum, max_part):
+def fill_layer(cur, prev, l, off, max_sum, max_part):
     """Fill layer ``l`` from layer ``l - 1`` using sliced array arithmetic.
 
     Slices k = 1..max_part are processed in order so the same-layer k-1
@@ -80,44 +73,3 @@ def fill_layer_vector(cur, prev, l, off, max_sum, max_part):
         zhi = min(M, (k + 1) * (l + 1))
         if zhi > zlo:
             out[off[zlo + 1] : off[zhi + 1]] = 0
-
-
-def fill_layer_reference(cur, prev, l, off, max_sum, max_part):
-    """Fill layer ``l`` one cell at a time, clamping every lookup explicitly.
-
-    Every row 0..max_sum of every slice is computed, so the result needs
-    no band bookkeeping.  Quadratically slower than the vector kernel;
-    meant for small tables and for validating the optimized fill.
-    """
-
-    def read(layer, N, k, s):
-        if N < 0 or k < 0 or s < 0:
-            return 0
-        if N == 0:
-            return 1
-        if k == 0:
-            return 0
-        if k > N:
-            k = N
-        if s > N:
-            s = N
-        return layer[k][off[N] + s]
-
-    for k in range(1, max_part + 1):
-        out = cur[k]
-        out[0] = 1
-        for N in range(1, max_sum + 1):
-            base = off[N]
-            for s in range(N + 1):
-                out[base + s] = (
-                    read(cur, N, k - 1, s)
-                    + read(prev, N, k, s)
-                    - read(prev, N, k - 1, s)
-                    + read(prev, N - k - l + 1, k - 1, s + l - k - 1)
-                )
-
-
-KERNELS = {
-    "vector": fill_layer_vector,
-    "reference": fill_layer_reference,
-}

@@ -9,18 +9,19 @@ Subcommands:
   profile  per-degree-sum counts of one family (G, L, or H).
   ratio    successive quotients d(n)/d(n-1) as exact decimals.
 
-The d series cache (`--cache` or the DEGSEQ_CACHE environment variable)
-is a b-file of exact d(n) values that the improved d algorithm and the
-indirect dc algorithm consult and extend; those two algorithm choices
-require a cache when requested explicitly, and the auto default falls
-back to the direct routes with a warning when no cache is configured.
+Each quantity is served by one route, looked up in the QUANTITIES
+table.  For d and dc the route follows from whether a d series cache
+(`--cache` or the DEGSEQ_CACHE environment variable), a b-file of exact
+d(n) values, is configured: with one, d is read from the cache
+(extending it as needed) and dc is d - dd; without one, both are summed
+directly from the graphical matrix and a warning says so once.
 History-based quantities (d0, h, b, c, d2, db) rebuild history in
 memory when uncached.  db for n in {3, 4} is answered by the oracle
 (the closed-form route needs n >= 5).
 
 Exit codes: 0 success; 1 bad arguments (including oracle-cap
-violations); 2 memory budget refused; 3 cache required but not
-configured; 4 verification mismatch.
+violations); 2 memory budget refused; 4 verification mismatch.  Code 3
+is not used.
 """
 
 from __future__ import annotations
@@ -50,47 +51,17 @@ from .degree_counts import (
     read_series_file,
     write_series_file,
 )
-from .errors import (
-    MemoryBudgetError,
-    MissingPriorError,
-    OracleCapError,
-)
+from .errors import MemoryBudgetError, OracleCapError
 from .oracle import DEFAULT_ORACLE_CAP, oracle_counts
-
-QUANTITIES = ("d", "d0", "h", "l", "dc", "dd", "s", "b", "c", "d2", "db")
-
-_MIN_N = {
-    "d": 2,
-    "d0": 1,
-    "h": 2,
-    "l": 2,
-    "dc": 2,
-    "dd": 2,
-    "s": 3,
-    "b": 3,
-    "c": 3,
-    "d2": 3,
-    "db": 3,
-}
-
-_ALGORITHMS = {
-    "d": ("auto", "basic", "improved"),
-    "dc": ("auto", "direct", "indirect"),
-}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MEMORY = 2
-EXIT_CACHE = 3
 EXIT_MISMATCH = 4
 
 
 class _UsageError(Exception):
     """Bad arguments discovered after parsing; maps to exit 1."""
-
-
-class _CacheRequiredError(Exception):
-    """An explicitly requested algorithm needs a cache; maps to exit 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,7 +77,6 @@ class RunConfig:
     command: str
     quantity: str | None = None
     n_values: tuple = ()
-    algorithm: str = "auto"
     fmt: str = "table"
     cache_path: str | None = None
     memory_cap_bytes: int | None = None
@@ -138,7 +108,6 @@ def _resolve_config(args) -> RunConfig:
     cfg.oracle_cap = DEFAULT_ORACLE_CAP if cap is None else cap
     cfg.fmt = getattr(args, "format", "table")
     cfg.quantity = getattr(args, "quantity", None)
-    cfg.algorithm = getattr(args, "algorithm", "auto")
     cfg.family = getattr(args, "family", None)
     cfg.max_n = getattr(args, "max_n", None)
 
@@ -156,18 +125,12 @@ def _resolve_config(args) -> RunConfig:
             raise _UsageError("one of --n or --range is required")
 
     if cfg.quantity is not None:
-        lo = _MIN_N[cfg.quantity]
+        lo = QUANTITIES[cfg.quantity][0]
         bad = [n for n in cfg.n_values if n < lo]
         if bad:
             raise _UsageError(
                 f"quantity {cfg.quantity!r} is defined for n >= {lo}, "
                 f"got n = {bad[0]}"
-            )
-        allowed = _ALGORITHMS.get(cfg.quantity, ("auto",))
-        if cfg.algorithm not in allowed:
-            raise _UsageError(
-                f"quantity {cfg.quantity!r} accepts --algorithm "
-                f"{'/'.join(allowed)}, got {cfg.algorithm!r}"
             )
     if cfg.command == "ratio":
         bad = [n for n in cfg.n_values if n < 3]
@@ -203,64 +166,63 @@ def _warn(message: str) -> None:
     print(f"degseq: warning: {message}", file=sys.stderr)
 
 
-def _compute_quantity(cfg: RunConfig, store: _SeriesStore, n: int) -> int:
-    """One quantity value at one n, honoring the algorithm choice."""
-    cap = cfg.memory_cap_bytes
-    q = cfg.quantity
-    if q == "d":
-        if cfg.algorithm == "basic":
-            return count_d_basic(n, memory_cap=cap)
-        if cfg.algorithm == "improved":
-            if not store.path:
-                raise _CacheRequiredError(
-                    "the improved algorithm needs --cache (or DEGSEQ_CACHE) "
-                    "to hold the prior d values"
-                )
-            return store.ensure(n, cap)[n]
-        if store.path:
-            return store.ensure(n, cap)[n]
-        _warn("no cache configured; using the basic algorithm for d")
-        return count_d_basic(n, memory_cap=cap)
-    if q == "dc":
-        if cfg.algorithm == "direct":
-            return count_dc_direct(n, memory_cap=cap)
-        if cfg.algorithm == "indirect":
-            if not store.path:
-                raise _CacheRequiredError(
-                    "the indirect algorithm needs --cache (or DEGSEQ_CACHE) "
-                    "to hold the prior d values"
-                )
-            return count_dc_indirect(n, store.ensure(n, cap)[n])
-        if store.path:
-            return count_dc_indirect(n, store.ensure(n, cap)[n])
-        _warn("no cache configured; using the direct algorithm for dc")
-        return count_dc_direct(n, memory_cap=cap)
-    if q == "dd":
-        return count_dd(n)
-    if q == "l":
-        return count_l(n, memory_cap=cap)
-    if q == "s":
-        return count_s(n, memory_cap=cap)
-    if q == "d0":
-        return count_d0(n, store.ensure(n, cap))
-    if q == "h":
-        return count_h(n, store.ensure(n - 1, cap))
-    if q == "b":
-        return count_b(n, store.ensure(n - 2, cap))
-    if q == "c":
-        return count_b(n, store.ensure(n - 2, cap)) + count_s(
-            n, memory_cap=cap
+def _d(n, store, cap):
+    if store.path:
+        return store.ensure(n, cap)[n]
+    return count_d_basic(n, memory_cap=cap)
+
+
+def _dc(n, store, cap):
+    if store.path:
+        return count_dc_indirect(n, store.ensure(n, cap)[n])
+    return count_dc_direct(n, memory_cap=cap)
+
+
+def _c(n, store, cap):
+    return count_b(n, store.ensure(n - 2, cap)) + count_s(n, memory_cap=cap)
+
+
+def _db(n, store, cap):
+    if n < 5:
+        return oracle_counts(n).db
+    series = store.ensure(n, cap)
+    return count_db(n, series, series[n], memory_cap=cap).db
+
+
+# quantity -> (smallest n, compute(n, store, memory_cap)).  Every entry
+# calls its counters through this module's globals at call time, so a
+# counter rebound here (say, by a tracer) is the one that runs.
+QUANTITIES = {
+    "d": (2, _d),
+    "d0": (1, lambda n, store, cap: count_d0(n, store.ensure(n, cap))),
+    "h": (2, lambda n, store, cap: count_h(n, store.ensure(n - 1, cap))),
+    "l": (2, lambda n, store, cap: count_l(n, memory_cap=cap)),
+    "dc": (2, _dc),
+    "dd": (2, lambda n, store, cap: count_dd(n)),
+    "s": (3, lambda n, store, cap: count_s(n, memory_cap=cap)),
+    "b": (3, lambda n, store, cap: count_b(n, store.ensure(n - 2, cap))),
+    "c": (3, _c),
+    "d2": (
+        3, lambda n, store, cap: store.ensure(n, cap)[n] - _c(n, store, cap)
+    ),
+    "db": (3, _db),
+}
+
+# The route _d and _dc take when no cache is configured.
+_UNCACHED_ROUTE = {"d": "basic", "dc": "direct"}
+
+
+def _values(cfg: RunConfig, store: _SeriesStore):
+    """Yield (n, value) of the configured quantity over cfg.n_values."""
+    route = _UNCACHED_ROUTE.get(cfg.quantity)
+    if route and not store.path:
+        _warn(
+            f"no cache configured; using the {route} algorithm "
+            f"for {cfg.quantity}"
         )
-    if q == "d2":
-        series = store.ensure(n, cap)
-        c = count_b(n, series) + count_s(n, memory_cap=cap)
-        return series[n] - c
-    if q == "db":
-        if n < 5:
-            return oracle_counts(n, cap=max(cfg.oracle_cap, 4)).db
-        series = store.ensure(n, cap)
-        return count_db(n, series, series[n], memory_cap=cap).db
-    raise _UsageError(f"unknown quantity {q!r}")
+    compute = QUANTITIES[cfg.quantity][1]
+    for n in cfg.n_values:
+        yield n, compute(n, store, cfg.memory_cap_bytes)
 
 
 def _emit(rows, header, fmt) -> None:
@@ -281,10 +243,7 @@ def _emit(rows, header, fmt) -> None:
 
 def _cmd_count(cfg: RunConfig) -> int:
     store = _SeriesStore(cfg.cache_path)
-    rows = []
-    for n in cfg.n_values:
-        value = _compute_quantity(cfg, store, n)
-        rows.append((str(n), cfg.quantity, str(value)))
+    rows = [(str(n), cfg.quantity, str(v)) for n, v in _values(cfg, store)]
     store.save()
     if cfg.fmt == "bfile":
         for n, _, value in rows:
@@ -296,8 +255,7 @@ def _cmd_count(cfg: RunConfig) -> int:
 
 def _cmd_series(cfg: RunConfig) -> int:
     store = _SeriesStore(cfg.cache_path)
-    for n in cfg.n_values:
-        value = _compute_quantity(cfg, store, n)
+    for n, value in _values(cfg, store):
         print(f"{n} {value}")
     store.save()
     return EXIT_OK
@@ -434,11 +392,6 @@ def _build_parser() -> _Parser:
     p_count.add_argument("--quantity", choices=QUANTITIES, required=True)
     p_count.add_argument("--n", type=int)
     p_count.add_argument("--range", metavar="A..B")
-    p_count.add_argument(
-        "--algorithm",
-        choices=("auto", "basic", "improved", "direct", "indirect"),
-        default="auto",
-    )
     add_common(p_count)
 
     p_series = sub.add_parser(
@@ -446,11 +399,6 @@ def _build_parser() -> _Parser:
     )
     p_series.add_argument("--quantity", choices=QUANTITIES, required=True)
     p_series.add_argument("--range", metavar="A..B", required=True)
-    p_series.add_argument(
-        "--algorithm",
-        choices=("auto", "basic", "improved", "direct", "indirect"),
-        default="auto",
-    )
     add_common(p_series, include_format=False)
 
     p_verify = sub.add_parser(
@@ -483,29 +431,26 @@ _COMMANDS = {
 }
 
 
+# Errors reported as one line on stderr, with the exit code of each.
+_EXIT_CODES = {
+    _UsageError: EXIT_USAGE,
+    OracleCapError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+    MemoryBudgetError: EXIT_MEMORY,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[cfg.command](cfg)
-    except _UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"degseq: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OracleCapError as exc:
-        print(f"degseq: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryBudgetError as exc:
-        print(f"degseq: error: {exc}", file=sys.stderr)
-        return EXIT_MEMORY
-    except _CacheRequiredError as exc:
-        print(f"degseq: error: {exc}", file=sys.stderr)
-        return EXIT_CACHE
-    except MissingPriorError as exc:
-        print(f"degseq: error: {exc}", file=sys.stderr)
-        return EXIT_CACHE
-    except (OSError, ValueError) as exc:
-        print(f"degseq: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(
+            code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)
+        )
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ so the zero-free count d(n) splits by degree sum alone:
 
 The dd sums live below 2(n - 1), which keeps every lookup on the
 saturated slack surface; a BoundedPartitionTable therefore answers them
-with cubic total work, and dc comes either directly (summing the high
-range with a full table) or indirectly as d(n) - dd(n).
+with cubic total work.  dc is the graphical matrix summed over the high
+range of sums, or d(n) - dd(n) when d(n) is already known.
 
 The biconnectivity side counts, among zero-free graphical sequences:
 
@@ -30,13 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degree_counts import DnSeries, _check_table, _even_range, count_d0
-from .partition_table import (
-    BoundedPartitionTable,
-    PartitionTable,
-    TableParams,
-    unrestricted_p,
-)
+from .degree_counts import DnSeries, _even_range, count_d0, graphical_matrix
+from .partition_table import BoundedPartitionTable, TableParams, unrestricted_p
 
 
 @dataclass
@@ -62,30 +57,14 @@ class BiconnReport:
     db: int
 
 
-def count_dc_direct(
-    n: int,
-    *,
-    table: PartitionTable | None = None,
-    kernel: str = "vector",
-    memory_cap: int | None = None,
-) -> int:
-    """dc(n) by summing the connected range of sums, 2(n-1)..n(n-1)."""
+def count_dc_direct(n: int, *, memory_cap: int | None = None) -> int:
+    """dc(n): graphical matrix rows with sums 2(n-1)..n(n-1)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if table is None:
-        table = PartitionTable.build(
-            TableParams(max_sum=n * (n - 1), max_part=n - 2, target_parts=n - 1),
-            kernel=kernel,
-            memory_cap=memory_cap,
-        )
-    else:
-        _check_table(table, n, n * (n - 2))
-    total = 0
-    for N in _even_range(2 * (n - 1), n * (n - 1)):
-        kmax = min(n - 1, N - n + 1)
-        for k in range(1, kmax + 1):
-            total += table.g_prime(N, k, n)
-    return total
+    rows = graphical_matrix(
+        n, n * (n - 1), range(1, n), memory_cap=memory_cap
+    )
+    return sum(sum(row) for N, row in rows.items() if N >= 2 * (n - 1))
 
 
 def count_dd(n: int) -> int:
@@ -124,8 +103,6 @@ def connectivity_report(
     d_n: int | None = None,
     *,
     method: str = "indirect",
-    table: PartitionTable | None = None,
-    kernel: str = "vector",
     memory_cap: int | None = None,
 ) -> ConnectivityReport:
     """Bundle dc and dd for one n using the requested dc method."""
@@ -135,42 +112,19 @@ def connectivity_report(
         dd = count_dd(n)
         return ConnectivityReport(n=n, dc=d_n - dd, dd=dd, method=method)
     if method == "direct":
-        dc = count_dc_direct(
-            n, table=table, kernel=kernel, memory_cap=memory_cap
-        )
+        dc = count_dc_direct(n, memory_cap=memory_cap)
         return ConnectivityReport(n=n, dc=dc, dd=count_dd(n), method=method)
     raise ValueError("method must be 'direct' or 'indirect'")
 
 
-def count_s(
-    n: int,
-    *,
-    table: PartitionTable | None = None,
-    kernel: str = "vector",
-    memory_cap: int | None = None,
-) -> int:
-    """s(n): zero-free graphical sequences with largest degree exactly n - 2."""
+def count_s(n: int, *, memory_cap: int | None = None) -> int:
+    """s(n): the graphical matrix column of largest degree n - 2."""
     if n < 3:
         raise ValueError("need n >= 3")
-    lo, hi = 2 * n - 3, n * (n - 2)
-    if hi < lo:
-        return 0
-    if table is None:
-        table = PartitionTable.build(
-            TableParams(
-                max_sum=(n - 1) * (n - 3),
-                max_part=max(0, n - 3),
-                target_parts=n - 1,
-            ),
-            kernel=kernel,
-            memory_cap=memory_cap,
-        )
-    else:
-        _check_table(table, n, (n - 1) * (n - 3), max(0, n - 3))
-    total = 0
-    for N in _even_range(lo, hi):
-        total += table.g_prime(N, n - 2, n)
-    return total
+    rows = graphical_matrix(
+        n, n * (n - 2), range(n - 2, n - 1), memory_cap=memory_cap
+    )
+    return sum(row[0] for row in rows.values())
 
 
 def count_b(n: int, prior: DnSeries) -> int:
@@ -205,43 +159,11 @@ def count_d2_minus_b(n: int) -> int:
     return total
 
 
-def _d2_minus_b_prefix(n: int) -> int:
-    """Same count via cumulative parity-split prefix sums of p(j).
-
-    Kept as an independent code path for cross-validation; sums each
-    parity class once and reuses the running totals across d1.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if n <= 4:
-        return 0
-    # prefix_even[m] = p(0) + p(2) + ... + p(2m); prefix_odd likewise over odd j
-    kmax = (n - 1) // 2
-    prefix_even = [unrestricted_p(0)]
-    for m in range(1, max(1, kmax)):
-        prefix_even.append(prefix_even[-1] + unrestricted_p(2 * m))
-    prefix_odd = [unrestricted_p(1)]
-    for m in range(1, max(1, kmax)):
-        prefix_odd.append(prefix_odd[-1] + unrestricted_p(2 * m + 1))
-    total = 0
-    for d1 in range(4, n):
-        k = d1 // 2
-        if d1 % 2 == 0:
-            if 2 * k - 4 >= 0:
-                total += prefix_even[k - 2]
-        else:
-            if 2 * k - 3 >= 1:
-                total += prefix_odd[k - 2]
-    return total
-
-
 def count_db(
     n: int,
     prior: DnSeries,
     d_n: int,
     *,
-    table: PartitionTable | None = None,
-    kernel: str = "vector",
     memory_cap: int | None = None,
 ) -> BiconnReport:
     """All biconnectivity-side counts for n >= 5.
@@ -251,7 +173,7 @@ def count_db(
     """
     if n < 5:
         raise ValueError("biconnectivity route needs n >= 5")
-    s = count_s(n, table=table, kernel=kernel, memory_cap=memory_cap)
+    s = count_s(n, memory_cap=memory_cap)
     b = count_b(n, prior)
     c = b + s
     d2 = d_n - c

@@ -15,11 +15,15 @@ pins the largest degree at n - 1 (even N from 2(n-1) to n(n-1)).  The
 L profile is symmetric about n(n-1)/2 and the H profile about
 (n+2)(n-1)/2, which lets production runs compute only the lower halves.
 
-Two routes to d(n) are provided: a direct sum over the full G range
-(count_d_basic) and a faster route (count_d_improved) that sums the
-lower half of the L profile, doubles it, and adds d0(n-1) for the
-high-largest-degree part, using exact values d(2)..d(n-1) supplied as a
-DnSeries.  The series persists between runs as an OEIS-style b-file.
+Every count comes from one graphical matrix per n (graphical_matrix):
+the number of zero-free graphical sequences with each even sum N and
+each largest degree k.  Quantities are masked sums of it: d is the
+whole matrix, the G profile its row sums, the split by largest degree
+its column sums, and the L and H profiles row sums over the columns
+k <= n - 2 and k = n - 1.  The series d(1), d(2), ... is built with
+d(n) = l(n) + d0(n-1), which needs only the lower half of the L profile
+and the exact earlier values, supplied as a DnSeries; the series
+persists between runs as an OEIS-style b-file.
 """
 
 from __future__ import annotations
@@ -136,82 +140,47 @@ def write_series_file(path, series: DnSeries) -> None:
             fh.write(f"{n} {value}\n")
 
 
-def _build_table(n, max_sum, kernel, memory_cap) -> PartitionTable:
-    return PartitionTable.build(
-        TableParams(max_sum=max_sum, max_part=n - 2, target_parts=n - 1),
-        kernel=kernel,
-        memory_cap=memory_cap,
-    )
+def graphical_matrix(
+    n: int, max_sum: int, degrees: range, *, memory_cap: int | None = None
+) -> dict:
+    """The graphical counts g(N, k, n) that every quantity here sums.
 
-
-def _check_table(
-    table: PartitionTable, n: int, need_sum: int, need_part: int | None = None
-) -> None:
-    if need_part is None:
-        need_part = n - 2
-    p = table.params
-    if p.target_parts != n - 1:
-        raise ValueError(
-            f"shared table is filled to l={p.target_parts}, need l={n - 1}"
-        )
-    if p.max_part < need_part or p.max_sum < need_sum:
-        raise ValueError(
-            f"shared table stores (max_sum={p.max_sum}, max_part={p.max_part}), "
-            f"need (max_sum={need_sum}, max_part={need_part})"
-        )
-
-
-def _g_entry(table: PartitionTable, N: int, n: int, part_cap: int) -> int:
-    """Sum of graphical counts over largest degree 1..min(part_cap, N-n+1)."""
-    kmax = min(part_cap, N - n + 1)
-    total = 0
-    for k in range(1, kmax + 1):
-        total += table.g_prime(N, k, n)
-    return total
-
-
-def count_d_basic(
-    n: int,
-    *,
-    table: PartitionTable | None = None,
-    kernel: str = "vector",
-    memory_cap: int | None = None,
-) -> int:
-    """d(n) by direct summation over the full degree-sum range.
-
-    Builds (or reuses) a table with max_sum = n(n-1) and sums the
-    per-sum, per-largest-degree graphical counts over even sums from n
-    to n(n-1).
+    Returns a mapping from each even N in [n, max_sum] to the row
+    [g(N, k, n) for k in degrees], the number of zero-free graphical
+    sequences on n vertices with sum N and largest degree exactly k.
+    One table sized for exactly these cells serves them: a cell reads
+    sum N - k - n + 1 and part bound k - 1, and sums above
+    (k - 1)(n - 1) are zero by the clamp chain without being stored.
     """
+    max_part = degrees.stop - 2
+    stored = min(max_sum - degrees.start - n + 1, max_part * (n - 1))
+    params = TableParams(max(0, stored), max_part, target_parts=n - 1)
+    table = PartitionTable.build(params, memory_cap=memory_cap)
+    return {
+        N: [table.g_prime(N, k, n) for k in degrees]
+        for N in _even_range(n, max_sum)
+    }
+
+
+def count_d_basic(n: int, *, memory_cap: int | None = None) -> int:
+    """d(n): the sum of the whole graphical matrix, sums n..n(n-1)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return 0
-    if table is None:
-        table = _build_table(n, n * (n - 1), kernel, memory_cap)
-    else:
-        _check_table(table, n, n * (n - 2))
-    total = 0
-    for N in _even_range(n, n * (n - 1)):
-        total += _g_entry(table, N, n, n - 1)
-    return total
+    rows = graphical_matrix(
+        n, n * (n - 1), range(1, n), memory_cap=memory_cap
+    )
+    return sum(map(sum, rows.values()))
 
 
 def count_d_improved(
-    n: int,
-    prior: DnSeries,
-    *,
-    table: PartitionTable | None = None,
-    kernel: str = "vector",
-    memory_cap: int | None = None,
+    n: int, prior: DnSeries, *, memory_cap: int | None = None
 ) -> int:
-    """d(n) from the lower half of the L profile plus d0(n-1).
+    """d(n) = l(n) + h(n), with h(n) = d0(n-1) read from ``prior``.
 
-    The L profile is symmetric about half = n(n-1)/2, so twice the sum
-    of entries below half, plus the middle entry when half is even,
-    gives l(n); sequences with largest degree n - 1 contribute d0(n-1).
-    Needs exact d(2)..d(n-1) in ``prior`` and a table only up to
-    max_sum = half.
+    Only l(n) needs a table, and its mirrored profile only the lower
+    half of the sums.  Needs exact d(2)..d(n-1) in ``prior``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -222,20 +191,7 @@ def count_d_improved(
             f"improved route to d({n}) needs d(1)..d({n - 1}), "
             f"series holds up to d({prior.n_max})"
         )
-    if n == 2:
-        return count_d0(1, prior)
-    half = n * (n - 1) // 2
-    if table is None:
-        table = _build_table(n, half, kernel, memory_cap)
-    else:
-        _check_table(table, n, half - n)
-    lower = 0
-    for N in _even_range(n, half - 1):
-        lower += _g_entry(table, N, n, n - 2)
-    total = 2 * lower
-    if half % 2 == 0:
-        total += _g_entry(table, half, n, n - 2)
-    return total + count_d0(n - 1, prior)
+    return count_l(n, memory_cap=memory_cap) + count_h(n, prior)
 
 
 def count_d0(n: int, prior: DnSeries) -> int:
@@ -259,21 +215,13 @@ def count_h(n: int, prior: DnSeries) -> int:
     return count_d0(n - 1, prior)
 
 
-def count_l(
-    n: int,
-    *,
-    table: PartitionTable | None = None,
-    kernel: str = "vector",
-    memory_cap: int | None = None,
-) -> int:
+def count_l(n: int, *, memory_cap: int | None = None) -> int:
     """l(n): zero-free sequences with largest degree at most n - 2."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return 0
-    return profile(
-        n, "L", table=table, kernel=kernel, memory_cap=memory_cap
-    ).total()
+    return profile(n, "L", memory_cap=memory_cap).total()
 
 
 def profile(
@@ -281,17 +229,16 @@ def profile(
     family: str,
     *,
     mirror: bool = True,
-    table: PartitionTable | None = None,
-    kernel: str = "vector",
     memory_cap: int | None = None,
 ) -> SumProfile:
     """Per-degree-sum counts for family "G", "L", or "H".
 
-    With ``mirror`` (the default) the L and H families compute only the
-    lower half of their range directly and fill the upper half from
-    their exact symmetry; ``mirror=False`` computes every entry
-    directly, which needs a larger table and exists so the symmetry can
-    be validated rather than assumed.
+    Each entry is a row sum of the graphical matrix over the family's
+    largest degrees.  With ``mirror`` (the default) the L and H families
+    read only the lower half of their range and fill the upper half
+    from their exact symmetry; ``mirror=False`` reads every entry, which
+    needs a larger table and exists so the symmetry can be validated
+    rather than assumed.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
@@ -299,74 +246,39 @@ def profile(
         raise ValueError("need n >= 2")
 
     if family == "G":
-        lo, hi = n, n * (n - 1)
-        center = None
-        part_cap = n - 1
-        need = n * (n - 2)
+        lo, hi, center, degrees = n, n * (n - 1), None, range(1, n)
     elif family == "L":
         lo, hi = n, n * (n - 2)
-        center = n * (n - 1)
-        part_cap = n - 2
-        need = n * (n - 1) // 2 - n if mirror else max(0, n * (n - 3))
+        center, degrees = n * (n - 1), range(1, n - 1)
     else:
         lo, hi = 2 * (n - 1), n * (n - 1)
-        center = (n + 2) * (n - 1)
-        part_cap = n - 1
-        need = (n - 1) * (n - 2) // 2 if mirror else (n - 1) * (n - 2)
+        center, degrees = (n + 2) * (n - 1), range(n - 1, n)
 
     if hi < lo:
         return SumProfile(n=n, family=family, entries={})
-    if table is None:
-        table = _build_table(n, max(0, need), kernel, memory_cap)
-    else:
-        _check_table(table, n, max(0, need))
-
-    entries = {}
-    direct_hi = hi if (family == "G" or not mirror) else center // 2
-    for N in _even_range(lo, min(hi, direct_hi)):
-        if family == "H":
-            entries[N] = table.g_prime(N, n - 1, n)
-        else:
-            entries[N] = _g_entry(table, N, n, part_cap)
-    if family != "G" and mirror:
-        for N in _even_range(direct_hi + 1, hi):
-            entries[N] = entries[center - N]
+    top = center // 2 if mirror and family != "G" else hi
+    rows = graphical_matrix(n, top, degrees, memory_cap=memory_cap)
+    entries = {N: sum(row) for N, row in rows.items() if N >= lo}
+    for N in _even_range(top + 1, hi):
+        entries[N] = entries[center - N]
     return SumProfile(n=n, family=family, entries=entries)
 
 
-def count_by_largest(
-    n: int,
-    *,
-    table: PartitionTable | None = None,
-    kernel: str = "vector",
-    memory_cap: int | None = None,
-) -> dict:
+def count_by_largest(n: int, *, memory_cap: int | None = None) -> dict:
     """Split d(n) by largest degree: mapping k -> count, k = 1..n-1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if table is None:
-        table = _build_table(n, n * (n - 1), kernel, memory_cap)
-    else:
-        _check_table(table, n, n * (n - 2))
-    out = {k: 0 for k in range(1, n)}
-    for N in _even_range(n, n * (n - 1)):
-        kmax = min(n - 1, N - n + 1)
-        for k in range(1, kmax + 1):
-            out[k] += table.g_prime(N, k, n)
-    return out
+    rows = graphical_matrix(
+        n, n * (n - 1), range(1, n), memory_cap=memory_cap
+    )
+    return dict(zip(range(1, n), map(sum, zip(*rows.values()))))
 
 
 def extend_series(
-    series: DnSeries,
-    n: int,
-    *,
-    kernel: str = "vector",
-    memory_cap: int | None = None,
+    series: DnSeries, n: int, *, memory_cap: int | None = None
 ) -> DnSeries:
     """Grow ``series`` in place with the improved route until it holds d(n)."""
     while series.n_max < n:
         i = series.n_max + 1
-        series.append(
-            count_d_improved(i, series, kernel=kernel, memory_cap=memory_cap)
-        )
+        series.append(count_d_improved(i, series, memory_cap=memory_cap))
     return series

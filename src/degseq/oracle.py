@@ -16,10 +16,9 @@ against accidental huge runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, NamedTuple, TextIO
+from typing import Iterator, NamedTuple
 
 from .degree_counts import SumProfile, _even_range
 from .errors import OracleCapError
@@ -260,21 +259,3 @@ def oracle_counts(n: int, *, cap: int | None = None) -> CountReport:
         profile_g=SumProfile(n=n, family="G", entries=profile),
         by_largest=by_largest,
     )
-
-
-def dump_graphical(n: int, dest, *, cap: int | None = None) -> None:
-    """Write each graphical member of E(n) as space-separated integers."""
-    limit = DEFAULT_ORACLE_CAP if cap is None else cap
-    if n > limit:
-        raise OracleCapError(
-            f"oracle enumeration capped at n={limit}, asked for n={n}"
-        )
-    own = isinstance(dest, (str, bytes, os.PathLike))
-    fh: TextIO = open(dest, "w", encoding="ascii") if own else dest
-    try:
-        for seq in enumerate_even_bounded(n):
-            if is_graphical_eg(seq):
-                fh.write(" ".join(map(str, seq)) + "\n")
-    finally:
-        if own:
-            fh.close()

@@ -10,9 +10,10 @@ differences (conjugate minus part), the partition is counted when
 Cell values are Python ints, so counts stay exact at any magnitude.
 Boundary behaviour is fixed by a clamp chain evaluated in this order:
 any negative argument gives 0; N = 0 gives 1; k = 0 or l = 0 (with
-N > 0) gives 0; k > N acts as k = N, l > N as l = N, s > N as s = N.
-The recurrence reproduces the clamped values inside the stored block, so
-a query may be answered from any resident layer whose clamped l agrees
+N > 0) gives 0; k > N acts as k = N, l > N as l = N, s > N as s = N;
+N > k*l then gives 0 (no partition fits), wherever N lies.  The
+recurrence reproduces the clamped values inside the stored block, so a
+query may be answered from any resident layer whose clamped l agrees
 with the query's.
 
 Two table flavours are provided:
@@ -30,15 +31,13 @@ pentagonal-number recurrence.
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, TextIO
+from typing import Callable
 
 import numpy as np
 
 from .errors import LayerNotResidentError, MemoryBudgetError
-from ._kernels import KERNELS
+from ._kernels import fill_layer
 
 DEFAULT_MEMORY_CAP = 8 * 2**30
 
@@ -81,19 +80,17 @@ class PartitionTable:
     whose clamped l matches neither raise LayerNotResidentError.
     """
 
-    def __init__(self, params: TableParams, layers, off, kernel_name: str):
+    def __init__(self, params: TableParams, layers, off):
         self.params = params
         self.filled_l = params.target_parts
         self._layers = layers
         self._off = off
-        self.kernel_name = kernel_name
 
     @classmethod
     def build(
         cls,
         params: TableParams,
         *,
-        kernel: str = "vector",
         memory_cap: int | None = None,
         layer_visitor: Callable[[int, list], None] | None = None,
     ) -> "PartitionTable":
@@ -101,8 +98,6 @@ class PartitionTable:
 
         Args:
             params: table dimensions.
-            kernel: "vector" (sliced array arithmetic) or "reference"
-                (per-cell transcription of the recurrence).
             memory_cap: byte budget checked before any allocation;
                 defaults to 8 GiB.
             layer_visitor: optional callback invoked as visitor(l, slices)
@@ -117,7 +112,6 @@ class PartitionTable:
         estimate = estimate_table_bytes(params)
         if estimate > cap:
             raise MemoryBudgetError(estimate, cap)
-        fill = KERNELS[kernel]
         M, K, target = params.max_sum, params.max_part, params.target_parts
 
         off = [0] * (M + 2)
@@ -135,14 +129,14 @@ class PartitionTable:
         shared0 = fresh_slice()
         prev = [shared0] + [fresh_slice() for _ in range(K)]
         if target == 0:
-            return cls(params, {0: prev}, off, kernel)
+            return cls(params, {0: prev}, off)
         cur = [shared0] + [np.zeros(tri, dtype=object) for _ in range(K)]
         for l in range(1, target + 1):
-            fill(cur, prev, l, off, M, K)
+            fill_layer(cur, prev, l, off, M, K)
             if layer_visitor is not None:
                 layer_visitor(l, cur)
             prev, cur = cur, prev
-        return cls(params, {target: prev, target - 1: cur}, off, kernel)
+        return cls(params, {target: prev, target - 1: cur}, off)
 
     @property
     def resident_layers(self) -> tuple:
@@ -150,6 +144,8 @@ class PartitionTable:
 
     def query_raw(self, N: int, k: int, l: int, s: int) -> int:
         """Return the cell value with the full clamp chain applied.
+
+        A clamped cell with N > k*l is 0 even outside the stored block.
 
         Raises:
             ValueError: the clamped (N, k) lies outside the stored block.
@@ -168,6 +164,8 @@ class PartitionTable:
             l = N
         if s > N:
             s = N
+        if N > k * l:
+            return 0
         p = self.params
         if N > p.max_sum or k > p.max_part:
             raise ValueError(
@@ -184,8 +182,6 @@ class PartitionTable:
                 f"layer l={l} is not servable from resident layers "
                 f"{self.resident_layers}"
             )
-        if N > k * l:
-            return 0
         return slices[k][self._off[N] + s]
 
     def g_prime(self, N: int, k: int, l: int) -> int:
@@ -205,31 +201,6 @@ class PartitionTable:
         if N % 2:
             raise ValueError("graphical count needs an even N")
         return self.query_raw(N - k - l + 1, k - 1, l - 1, l - k - 1)
-
-    def dump_layer(self, dest, l: int) -> None:
-        """Write resident layer l as CSV rows ``N,k,s,count``.
-
-        Rows with N > k*l hold no partitions and are omitted.  ``dest``
-        may be a path or a writable text file object.
-        """
-        if l not in self._layers:
-            raise LayerNotResidentError(
-                f"layer l={l} is not resident; have {self.resident_layers}"
-            )
-        slices = self._layers[l]
-        own = isinstance(dest, (str, bytes, os.PathLike))
-        fh: TextIO = open(dest, "w", encoding="ascii") if own else dest
-        try:
-            fh.write("N,k,s,count\n")
-            for k in range(self.params.max_part + 1):
-                arr = slices[k]
-                for N in range(min(self.params.max_sum, k * l) + 1):
-                    base = self._off[N]
-                    for s in range(N + 1):
-                        fh.write(f"{N},{k},{s},{arr[base + s]}\n")
-        finally:
-            if own:
-                fh.close()
 
 
 class BoundedPartitionTable:

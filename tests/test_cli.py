@@ -20,7 +20,7 @@ class TestCount:
     def test_basic_d4(self, capsys):
         code, out, _ = run(
             capsys, "count", "--quantity", "d", "--n", "4",
-            "--algorithm", "basic", "--format", "csv",
+            "--format", "csv",
         )
         assert code == 0
         assert out.splitlines() == ["n,quantity,value", "4,d,7"]
@@ -63,7 +63,7 @@ class TestCount:
     def test_bfile_format(self, capsys):
         code, out, _ = run(
             capsys, "count", "--quantity", "d", "--n", "4",
-            "--algorithm", "basic", "--format", "bfile",
+            "--format", "bfile",
         )
         assert code == 0
         assert out == "4 7\n"
@@ -73,7 +73,6 @@ class TestSeries:
     def test_d_series(self, capsys):
         code, out, _ = run(
             capsys, "series", "--quantity", "d", "--range", "2..5",
-            "--algorithm", "basic",
         )
         assert code == 0
         assert out == "2 1\n3 2\n4 7\n5 20\n"
@@ -91,6 +90,14 @@ class TestSeries:
         )
         assert code == 0
         assert out == "2 1\n3 2\n4 6\n5 19\n"
+
+    def test_uncached_warning_printed_once(self, capsys):
+        code, out, err = run(
+            capsys, "series", "--quantity", "dc", "--range", "2..6",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 5
+        assert err.count("no cache configured") == 1
 
     def test_series_updates_cache(self, capsys, tmp_path):
         cache = tmp_path / "d.txt"
@@ -164,35 +171,13 @@ class TestExitCodes:
         assert code == 1
         assert "n >= 3" in err
 
-    def test_algorithm_quantity_mismatch(self, capsys):
-        code, _, _ = run(
-            capsys, "count", "--quantity", "dd", "--n", "5",
-            "--algorithm", "basic",
-        )
-        assert code == 1
-
     def test_memory_cap_refusal(self, capsys):
         code, _, err = run(
             capsys, "count", "--quantity", "d", "--n", "40",
-            "--algorithm", "basic", "--memory-cap", "1000",
+            "--memory-cap", "1000",
         )
         assert code == 2
         assert "cap" in err
-
-    def test_improved_needs_cache(self, capsys):
-        code, _, err = run(
-            capsys, "count", "--quantity", "d", "--n", "6",
-            "--algorithm", "improved",
-        )
-        assert code == 3
-        assert "cache" in err
-
-    def test_indirect_needs_cache(self, capsys):
-        code, _, _ = run(
-            capsys, "count", "--quantity", "dc", "--n", "6",
-            "--algorithm", "indirect",
-        )
-        assert code == 3
 
 
 class TestCacheFlow:
@@ -200,16 +185,14 @@ class TestCacheFlow:
         cache = tmp_path / "d.txt"
         code, out, _ = run(
             capsys, "count", "--quantity", "d", "--n", "8",
-            "--algorithm", "improved", "--cache", str(cache),
-            "--format", "csv",
+            "--cache", str(cache), "--format", "csv",
         )
         assert code == 0
         assert "8,d,871" in out
         # the cache now feeds a second invocation without recomputation
         code, out, _ = run(
             capsys, "count", "--quantity", "dc", "--n", "8",
-            "--algorithm", "indirect", "--cache", str(cache),
-            "--format", "csv",
+            "--cache", str(cache), "--format", "csv",
         )
         assert code == 0
         assert "8,dc,863" in out
@@ -218,17 +201,17 @@ class TestCacheFlow:
         cache = tmp_path / "d.txt"
         run(
             capsys, "series", "--quantity", "d", "--range", "2..8",
-            "--cache", str(cache), "--algorithm", "basic",
+            "--cache", str(cache),
         )
         code, improved_out, _ = run(
             capsys, "count", "--quantity", "d", "--n", "9",
-            "--algorithm", "improved", "--cache", str(cache),
-            "--format", "bfile",
+            "--cache", str(cache), "--format", "bfile",
         )
         assert code == 0
+        # without a cache, d comes from the basic route
         code, basic_out, _ = run(
             capsys, "count", "--quantity", "d", "--n", "9",
-            "--algorithm", "basic", "--format", "bfile",
+            "--format", "bfile",
         )
         assert code == 0
         assert improved_out == basic_out

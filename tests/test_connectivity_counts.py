@@ -3,7 +3,6 @@
 import pytest
 
 from degseq.connectivity_counts import (
-    _d2_minus_b_prefix,
     connectivity_report,
     count_b,
     count_d2_minus_b,
@@ -15,6 +14,36 @@ from degseq.connectivity_counts import (
 )
 from degseq.degree_counts import DnSeries, extend_series
 from degseq.partition_table import unrestricted_p
+
+
+def d2_minus_b_prefix(n):
+    """d2(n) - db(n) via cumulative parity-split prefix sums of p(j).
+
+    An independent route to count_d2_minus_b: sums each parity class
+    once and reuses the running totals across the largest degree d1.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if n <= 4:
+        return 0
+    # prefix_even[m] = p(0) + p(2) + ... + p(2m); prefix_odd likewise over odd j
+    kmax = (n - 1) // 2
+    prefix_even = [unrestricted_p(0)]
+    for m in range(1, max(1, kmax)):
+        prefix_even.append(prefix_even[-1] + unrestricted_p(2 * m))
+    prefix_odd = [unrestricted_p(1)]
+    for m in range(1, max(1, kmax)):
+        prefix_odd.append(prefix_odd[-1] + unrestricted_p(2 * m + 1))
+    total = 0
+    for d1 in range(4, n):
+        k = d1 // 2
+        if d1 % 2 == 0:
+            if 2 * k - 4 >= 0:
+                total += prefix_even[k - 2]
+        else:
+            if 2 * k - 3 >= 1:
+                total += prefix_odd[k - 2]
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +125,7 @@ class TestD2MinusB:
 
     def test_prefix_path_agrees(self):
         for n in range(2, 30):
-            assert _d2_minus_b_prefix(n) == count_d2_minus_b(n)
+            assert d2_minus_b_prefix(n) == count_d2_minus_b(n)
 
 
 class TestCountDb:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from degseq.connectivity_counts import count_dd, count_s
 from degseq.degree_counts import (
     DnSeries,
     count_by_largest,
@@ -11,6 +12,7 @@ from degseq.degree_counts import (
     count_h,
     count_l,
     extend_series,
+    graphical_matrix,
     profile,
     read_series_file,
     write_series_file,
@@ -154,6 +156,38 @@ class TestCountByLargest:
     def test_total_is_d(self, series_10):
         for n in range(2, 9):
             assert sum(count_by_largest(n).values()) == series_10[n]
+
+
+class TestGraphicalMatrix:
+    def test_every_family_matrix_sums_to_its_counts(self):
+        series = extend_series(DnSeries(), 14)
+        for n in range(2, 15):
+            full = graphical_matrix(n, n * (n - 1), range(1, n))
+            cols = [sum(col) for col in zip(*full.values())]
+            d, h, l = sum(cols), cols[-1], sum(cols[:-1])
+            assert d == series[n] == h + l
+            assert (h, l) == (count_h(n, series), count_l(n))
+            dc = sum(sum(r) for N, r in full.items() if N >= 2 * (n - 1))
+            assert dc + count_dd(n) == d
+            if n >= 3:
+                assert cols[n - 3] == count_s(n)
+            # The smaller matrices the H, L and s counts ask for, as
+            # (largest sum, largest degrees), serve the same cells.
+            families = [
+                (n * (n - 1), range(n - 1, n)),
+                ((n + 2) * (n - 1) // 2, range(n - 1, n)),
+            ]
+            if n >= 3:
+                families += [
+                    (n * (n - 2), range(1, n - 1)),
+                    (n * (n - 1) // 2, range(1, n - 1)),
+                    (n * (n - 2), range(n - 2, n - 1)),
+                ]
+            for top, degrees in families:
+                rows = graphical_matrix(n, top, degrees)
+                assert list(rows) == [N for N in full if N <= top]
+                for N, row in rows.items():
+                    assert row == full[N][degrees.start - 1 : degrees.stop - 1]
 
 
 class TestDnSeries:

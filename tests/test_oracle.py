@@ -6,7 +6,6 @@ from degseq.degree_counts import DnSeries, extend_series
 from degseq.errors import OracleCapError
 from degseq.oracle import (
     classify,
-    dump_graphical,
     enumerate_even_bounded,
     is_graphical_eg,
     is_graphical_nw,
@@ -132,16 +131,3 @@ class TestOracleCounts:
     def test_cap_enforced(self):
         with pytest.raises(OracleCapError):
             oracle_counts(9, cap=8)
-
-
-class TestDumpGraphical:
-    def test_lines_are_graphical_members(self, tmp_path):
-        dest = tmp_path / "g5.txt"
-        with open(dest, "w") as fh:
-            dump_graphical(5, fh)
-        lines = dest.read_text().strip().splitlines()
-        assert len(lines) == 20
-        for line in lines:
-            seq = tuple(int(x) for x in line.split())
-            assert len(seq) == 5
-            assert is_graphical_eg(seq)

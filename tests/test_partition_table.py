@@ -2,12 +2,15 @@
 
 The reference point throughout is a tiny brute-force enumerator that
 lists partitions directly and applies the prefix-slack test, so every
-stored cell is checked against first principles.
+stored cell is checked against first principles.  A cell-at-a-time
+transcription of the recurrence checks the vectorized layer fill.
 """
 
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degseq.errors import LayerNotResidentError, MemoryBudgetError
 from degseq.partition_table import (
@@ -51,6 +54,80 @@ def brute_count(N, k, l, s):
     return sum(1 for pi in iter_partitions(N, k, l) if passes_slack(pi, s))
 
 
+def fill_layer_reference(cur, prev, l, off, max_sum, max_part):
+    """Fill layer ``l`` one cell at a time, clamping every lookup explicitly.
+
+    Every row 0..max_sum of every slice is computed, so the result needs
+    no band bookkeeping.
+    """
+
+    def read(layer, N, k, s):
+        if N < 0 or k < 0 or s < 0:
+            return 0
+        if N == 0:
+            return 1
+        if k == 0:
+            return 0
+        if k > N:
+            k = N
+        if s > N:
+            s = N
+        return layer[k][off[N] + s]
+
+    for k in range(1, max_part + 1):
+        out = cur[k]
+        out[0] = 1
+        for N in range(1, max_sum + 1):
+            base = off[N]
+            for s in range(N + 1):
+                out[base + s] = (
+                    read(cur, N, k - 1, s)
+                    + read(prev, N, k, s)
+                    - read(prev, N, k - 1, s)
+                    + read(prev, N - k - l + 1, k - 1, s + l - k - 1)
+                )
+
+
+def reference_layers(params):
+    """Run the reference fill on two rolling buffers.
+
+    Returns ({l: layer} for the resident final layers, row offsets), in
+    the packed layout of PartitionTable: one flat list per k, row N at
+    off[N] holding s = 0..N.
+    """
+    M, K, target = params.max_sum, params.max_part, params.target_parts
+    off = [0] * (M + 2)
+    for N in range(1, M + 2):
+        off[N] = off[N - 1] + N
+
+    def fresh():
+        cells = [0] * off[M + 1]
+        cells[0] = 1
+        return cells
+
+    prev = [fresh() for _ in range(K + 1)]
+    if target == 0:
+        return {0: prev}, off
+    cur = [prev[0]] + [fresh() for _ in range(K)]
+    for l in range(1, target + 1):
+        fill_layer_reference(cur, prev, l, off, M, K)
+        prev, cur = cur, prev
+    return {target: prev, target - 1: cur}, off
+
+
+def assert_fill_matches_reference(params):
+    """Every stored cell of both resident layers equals the reference."""
+    table = PartitionTable.build(params)
+    layers, off = reference_layers(params)
+    for l, ref in layers.items():
+        for N in range(params.max_sum + 1):
+            for k in range(params.max_part + 1):
+                for s in range(N + 1):
+                    assert table.query_raw(N, k, l, s) == ref[k][off[N] + s], (
+                        params, N, k, l, s
+                    )
+
+
 def brute_exact(N, k, l, s):
     """Partitions of N with exactly l parts and largest part exactly k,
     under the same slack test."""
@@ -86,16 +163,21 @@ class TestStoredCellsAgainstBruteForce:
                         ), (N, k, l, s)
 
     def test_kernels_agree(self):
-        params = TableParams(14, 5, 5)
-        a = PartitionTable.build(params, kernel="vector")
-        b = PartitionTable.build(params, kernel="reference")
-        for N in range(15):
-            for k in range(6):
-                for s in range(N + 1):
-                    for l in (4, 5):
-                        assert a.query_raw(N, k, l, s) == b.query_raw(
-                            N, k, l, s
-                        )
+        assert_fill_matches_reference(TableParams(14, 5, 5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.builds(
+            TableParams,
+            max_sum=st.integers(0, 12),
+            max_part=st.integers(0, 8),
+            target_parts=st.integers(0, 8),
+        )
+    )
+    @example(TableParams(3, 6, 2))  # max_part > max_sum
+    @example(TableParams(4, 2, 7))  # target_parts > max_sum
+    def test_fill_matches_reference_on_random_shapes(self, params):
+        assert_fill_matches_reference(params)
 
     def test_no_negative_cells(self, table_6):
         for N in range(13):
@@ -151,6 +233,11 @@ class TestClampChain:
     def test_capacity_exceeded_raises(self, table_6):
         with pytest.raises(ValueError):
             table_6.query_raw(13, 3, 6, 0)
+
+    def test_overfull_cell_outside_block_is_zero(self, table_6):
+        # 20 > 3 * 6: no partition fits, so no stored row is needed.
+        assert table_6.query_raw(20, 3, 6, 0) == 0
+        assert table_6.query_raw(40, 7, 5, 3) == 0
 
 
 class TestBuildExamples:
@@ -234,19 +321,6 @@ class TestMemoryBudget:
         params = TableParams(20, 4, 4)
         need = estimate_table_bytes(params)
         PartitionTable.build(params, memory_cap=need)
-
-
-class TestDumpLayer:
-    def test_csv_rows_match_cells(self, tmp_path):
-        table = PartitionTable.build(TableParams(6, 3, 3))
-        dest = tmp_path / "layer.csv"
-        with open(dest, "w") as fh:
-            table.dump_layer(fh, 3)
-        lines = dest.read_text().strip().splitlines()
-        assert lines[0] == "N,k,s,count"
-        for line in lines[1:]:
-            N, k, s, count = (int(x) for x in line.split(","))
-            assert count == brute_count(N, k, 3, s)
 
 
 class TestBoundedTable:
