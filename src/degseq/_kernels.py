@@ -16,7 +16,7 @@ The cell recurrence, with D the shifted lookup into layer l-1:
 The fill exploits two zero/constant structures of the recurrence:
 
   * rows with N > k*l count partitions that cannot exist, so they are
-    skipped and kept materialized as zeros for downstream slice reads;
+    skipped and stay the zeros the buffers were allocated with;
   * along s a row becomes constant once s reaches (k+1)^2 // 4 (the
     prefix-slack deficit of a partition with parts <= k never exceeds
     j*(k+1-j)), so only that prefix is computed and the tail is a
@@ -33,10 +33,10 @@ def fill_layer(cur, prev, l, off, max_sum, max_part):
 
     Slices k = 1..max_part are processed in order so the same-layer k-1
     operand is ready.  Slice 0 is a shared constant (1 at N = 0, else 0)
-    and is never written.  After a slice is filled to its live extent
-    min(max_sum, k*l), the band of rows up to min(max_sum, (k+1)*(l+1))
-    is zeroed; those rows are read as operands by later (k, l) sweeps and
-    would otherwise hold stale values from layer l - 2.
+    and is never written.  Each slice is written only up to its live
+    extent min(max_sum, k*l); the rows above stay zero without being
+    cleared, because a buffer only ever holds layers of one parity and
+    layer l - 2 wrote no row above k*(l - 2).
     """
     M = max_sum
     for k in range(1, max_part + 1):
@@ -69,7 +69,3 @@ def fill_layer(cur, prev, l, off, max_sum, max_part):
                     ov[t_lo:W] += c_km1[a2 + N2]
             if W <= N:
                 out[a + W : a + N + 1] = out[end - 1]
-        zlo = live
-        zhi = min(M, (k + 1) * (l + 1))
-        if zhi > zlo:
-            out[off[zlo + 1] : off[zhi + 1]] = 0

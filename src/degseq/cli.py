@@ -3,11 +3,17 @@
 Subcommands:
 
   count    one quantity for one n or a range; rows `n,quantity,value`.
-  series   a quantity over a range, emitted as OEIS b-file lines.
-  verify   cross-check every counting path against the brute-force
-           oracle up to a given n; exits 4 on any mismatch.
+  series   count with b-file output (`n value`), one line as each n is
+           computed.
+  verify   compare every quantity, computed as count computes it without
+           a cache, and five second routes with the brute-force oracle
+           for n = 2..max-n; exits 4 on any mismatch.
   profile  per-degree-sum counts of one family (G, L, or H).
   ratio    successive quotients d(n)/d(n-1) as exact decimals.
+
+Each subcommand takes only the flags it reads: `--memory-cap` all of
+them, `--cache` count, series and ratio, `--oracle-cap` verify, and
+`--format` count, profile and ratio.
 
 Each quantity is served by one route, looked up in the QUANTITIES
 table.  For d and dc the route follows from whether a d series cache
@@ -16,8 +22,7 @@ d(n) values, is configured: with one, d is read from the cache
 (extending it as needed) and dc is d - dd; without one, both are summed
 directly from the graphical matrix and a warning says so once.
 History-based quantities (d0, h, b, c, d2, db) rebuild history in
-memory when uncached.  db for n in {3, 4} is answered by the oracle
-(the closed-form route needs n >= 5).
+memory when uncached.
 
 Exit codes: 0 success; 1 bad arguments (including oracle-cap
 violations); 2 memory budget refused; 4 verification mismatch.  Code 3
@@ -29,10 +34,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .connectivity_counts import (
     count_b,
+    count_d2_minus_b,
     count_db,
     count_dc_direct,
     count_dc_indirect,
@@ -61,82 +66,33 @@ EXIT_MISMATCH = 4
 
 
 class _UsageError(Exception):
-    """Bad arguments discovered after parsing; maps to exit 1."""
+    """Bad arguments; maps to exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, resolved from flags and env."""
-
-    command: str
-    quantity: str | None = None
-    n_values: tuple = ()
-    fmt: str = "table"
-    cache_path: str | None = None
-    memory_cap_bytes: int | None = None
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    family: str | None = None
-    max_n: int | None = None
-
-
-def _parse_range(text: str) -> tuple:
+def _parse_range(text: str) -> range:
+    """The n values of an `A..B` argument, A <= B."""
     parts = text.split("..")
     if len(parts) != 2:
-        raise _UsageError(f"range must look like A..B, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"range must look like A..B, got {text!r}"
+        )
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise _UsageError(f"range endpoints must be integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"range endpoints must be integers, got {text!r}"
+        )
     if b < a:
-        raise _UsageError(f"range must be ascending, got {text!r}")
-    return a, b
-
-
-def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.cache_path = getattr(args, "cache", None) or os.environ.get(
-        "DEGSEQ_CACHE"
-    )
-    cfg.memory_cap_bytes = getattr(args, "memory_cap", None)
-    cap = getattr(args, "oracle_cap", None)
-    cfg.oracle_cap = DEFAULT_ORACLE_CAP if cap is None else cap
-    cfg.fmt = getattr(args, "format", "table")
-    cfg.quantity = getattr(args, "quantity", None)
-    cfg.family = getattr(args, "family", None)
-    cfg.max_n = getattr(args, "max_n", None)
-
-    if cfg.command in ("count", "series", "profile", "ratio"):
-        n = getattr(args, "n", None)
-        rng = getattr(args, "range", None)
-        if n is not None and rng is not None:
-            raise _UsageError("give either --n or --range, not both")
-        if n is not None:
-            cfg.n_values = (n,)
-        elif rng is not None:
-            a, b = _parse_range(rng)
-            cfg.n_values = tuple(range(a, b + 1))
-        else:
-            raise _UsageError("one of --n or --range is required")
-
-    if cfg.quantity is not None:
-        lo = QUANTITIES[cfg.quantity][0]
-        bad = [n for n in cfg.n_values if n < lo]
-        if bad:
-            raise _UsageError(
-                f"quantity {cfg.quantity!r} is defined for n >= {lo}, "
-                f"got n = {bad[0]}"
-            )
-    if cfg.command == "ratio":
-        bad = [n for n in cfg.n_values if n < 3]
-        if bad:
-            raise _UsageError("ratio needs n >= 3 (d(n-1) must be nonzero)")
-    return cfg
+        raise argparse.ArgumentTypeError(
+            f"range must be ascending, got {text!r}"
+        )
+    return range(a, b + 1)
 
 
 class _SeriesStore:
@@ -162,10 +118,6 @@ class _SeriesStore:
             self.dirty = False
 
 
-def _warn(message: str) -> None:
-    print(f"degseq: warning: {message}", file=sys.stderr)
-
-
 def _d(n, store, cap):
     if store.path:
         return store.ensure(n, cap)[n]
@@ -183,8 +135,6 @@ def _c(n, store, cap):
 
 
 def _db(n, store, cap):
-    if n < 5:
-        return oracle_counts(n).db
     series = store.ensure(n, cap)
     return count_db(n, series, series[n], memory_cap=cap).db
 
@@ -211,27 +161,45 @@ QUANTITIES = {
 # The route _d and _dc take when no cache is configured.
 _UNCACHED_ROUTE = {"d": "basic", "dc": "direct"}
 
-
-def _values(cfg: RunConfig, store: _SeriesStore):
-    """Yield (n, value) of the configured quantity over cfg.n_values."""
-    route = _UNCACHED_ROUTE.get(cfg.quantity)
-    if route and not store.path:
-        _warn(
-            f"no cache configured; using the {route} algorithm "
-            f"for {cfg.quantity}"
-        )
-    compute = QUANTITIES[cfg.quantity][1]
-    for n in cfg.n_values:
-        yield n, compute(n, store, cfg.memory_cap_bytes)
+# Routes verify checks besides QUANTITIES, each the second way to a
+# number the package serves: name -> (CountReport field, smallest n,
+# compute(n, store, memory_cap)).
+_SECOND_ROUTES = {
+    "d_improved": ("d", 2, lambda n, store, cap: store.ensure(n, cap)[n]),
+    "dc_indirect": (
+        "dc", 2,
+        lambda n, store, cap: count_dc_indirect(n, store.ensure(n, cap)[n]),
+    ),
+    "d2_minus_b": (
+        "d2_minus_b", 3, lambda n, store, cap: count_d2_minus_b(n)
+    ),
+    "profile_g": (
+        "profile_g", 2,
+        lambda n, store, cap: profile(n, "G", memory_cap=cap),
+    ),
+    "by_largest": (
+        "by_largest", 2,
+        lambda n, store, cap: count_by_largest(n, memory_cap=cap),
+    ),
+}
 
 
 def _emit(rows, header, fmt) -> None:
-    """Print rows as an aligned table or CSV; rows are tuples of strings."""
+    """Print rows (tuples of strings) as b-file lines, CSV or a table.
+
+    b-file lines (first and last column) and CSV lines are printed as
+    the rows arrive; the aligned table needs every row first.
+    """
+    if fmt == "bfile":
+        for row in rows:
+            print(f"{row[0]} {row[-1]}")
+        return
     if fmt == "csv":
         print(",".join(header))
         for row in rows:
             print(",".join(row))
         return
+    rows = list(rows)
     widths = [
         max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
         for i, h in enumerate(header)
@@ -241,37 +209,35 @@ def _emit(rows, header, fmt) -> None:
         print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
 
 
-def _cmd_count(cfg: RunConfig) -> int:
-    store = _SeriesStore(cfg.cache_path)
-    rows = [(str(n), cfg.quantity, str(v)) for n, v in _values(cfg, store)]
-    store.save()
-    if cfg.fmt == "bfile":
-        for n, _, value in rows:
-            print(f"{n} {value}")
-    else:
-        _emit(rows, ("n", "quantity", "value"), cfg.fmt)
-    return EXIT_OK
-
-
-def _cmd_series(cfg: RunConfig) -> int:
-    store = _SeriesStore(cfg.cache_path)
-    for n, value in _values(cfg, store):
-        print(f"{n} {value}")
-    store.save()
-    return EXIT_OK
-
-
-def _cmd_profile(cfg: RunConfig) -> int:
-    n = cfg.n_values[0]
-    prof = profile(n, cfg.family, memory_cap=cfg.memory_cap_bytes)
-    items = sorted(prof.entries.items())
-    if cfg.fmt == "bfile":
-        for N, count in items:
-            print(f"{N} {count}")
-    else:
-        _emit(
-            [(str(N), str(c)) for N, c in items], ("N", "count"), cfg.fmt
+def _cmd_count(args) -> int:
+    n_values = (args.n,) if args.range is None else args.range
+    lo, compute = QUANTITIES[args.quantity]
+    if n_values[0] < lo:
+        raise _UsageError(
+            f"quantity {args.quantity!r} is defined for n >= {lo}, "
+            f"got n = {n_values[0]}"
         )
+    store = _SeriesStore(args.cache)
+    route = _UNCACHED_ROUTE.get(args.quantity)
+    if route and not store.path:
+        print(
+            f"degseq: warning: no cache configured; using the {route} "
+            f"algorithm for {args.quantity}",
+            file=sys.stderr,
+        )
+    rows = (
+        (str(n), args.quantity, str(compute(n, store, args.memory_cap)))
+        for n in n_values
+    )
+    _emit(rows, ("n", "quantity", "value"), args.format)
+    store.save()
+    return EXIT_OK
+
+
+def _cmd_profile(args) -> int:
+    prof = profile(args.n, args.family, memory_cap=args.memory_cap)
+    rows = [(str(N), str(c)) for N, c in sorted(prof.entries.items())]
+    _emit(rows, ("N", "count"), args.format)
     return EXIT_OK
 
 
@@ -286,76 +252,51 @@ def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
     return f"{whole}." + "".join(digits)
 
 
-def _cmd_ratio(cfg: RunConfig) -> int:
-    store = _SeriesStore(cfg.cache_path)
-    series = store.ensure(max(cfg.n_values), cfg.memory_cap_bytes)
+def _cmd_ratio(args) -> int:
+    if args.range[0] < 3:
+        raise _UsageError("ratio needs n >= 3 (d(n-1) must be nonzero)")
+    store = _SeriesStore(args.cache)
+    series = store.ensure(args.range[-1], args.memory_cap)
     rows = [
         (str(n), _ratio_decimal(series[n], series[n - 1]))
-        for n in cfg.n_values
+        for n in args.range
     ]
     store.save()
-    if cfg.fmt == "bfile":
-        for n, ratio in rows:
-            print(f"{n} {ratio}")
-    else:
-        _emit(rows, ("n", "ratio"), cfg.fmt)
+    _emit(rows, ("n", "ratio"), args.format)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.max_n > cfg.oracle_cap:
+def _cmd_verify(args) -> int:
+    if args.max_n > args.oracle_cap:
         raise OracleCapError(
-            f"verify reaches n={cfg.max_n} but the oracle cap is "
-            f"{cfg.oracle_cap}"
+            f"verify reaches n={args.max_n} but the oracle cap is "
+            f"{args.oracle_cap}"
         )
-    if cfg.max_n < 2:
+    if args.max_n < 2:
         raise _UsageError("verify needs --max-n >= 2")
-    cap = cfg.memory_cap_bytes
-    series = extend_series(DnSeries(), cfg.max_n, memory_cap=cap)
+    routes = {q: (q, lo, compute) for q, (lo, compute) in QUANTITIES.items()}
+    routes.update(_SECOND_ROUTES)
+    # Uncached, so d and dc take the routes count takes without a cache.
+    store = _SeriesStore(None)
     mismatches = {}
-    checked = {}
-
-    def check(name, n, got, want):
-        checked[name] = checked.get(name, 0) + 1
-        if got != want:
-            mismatches.setdefault(name, []).append((n, got, want))
-            print(f"FAIL {name} n={n}: computed {got}, oracle {want}")
-
-    for n in range(2, cfg.max_n + 1):
-        rep = oracle_counts(n, cap=cfg.oracle_cap)
-        check("d_basic", n, count_d_basic(n, memory_cap=cap), rep.d)
-        check("d_improved", n, series[n], rep.d)
-        check("d0", n, count_d0(n, series), rep.d0)
-        check("h", n, count_h(n, series), rep.h)
-        check("l", n, count_l(n, memory_cap=cap), rep.l)
-        check("dc_direct", n, count_dc_direct(n, memory_cap=cap), rep.dc)
-        check("dc_indirect", n, count_dc_indirect(n, series[n]), rep.dc)
-        check("dd", n, count_dd(n), rep.dd)
-        if n >= 3:
-            check("s", n, count_s(n, memory_cap=cap), rep.s)
-            check("b", n, count_b(n, series), rep.b)
-        if n >= 5:
-            biconn = count_db(n, series, series[n], memory_cap=cap)
-            check("c", n, biconn.c, rep.c)
-            check("d2", n, biconn.d2, rep.d2)
-            check("d2_minus_b", n, biconn.d2_minus_b, rep.d2_minus_b)
-            check("db", n, biconn.db, rep.db)
-        check(
-            "profile_g", n, profile(n, "G", memory_cap=cap).entries,
-            rep.profile_g.entries,
-        )
-        check(
-            "by_largest", n, count_by_largest(n, memory_cap=cap),
-            rep.by_largest,
-        )
-    for name in sorted(checked):
-        if name not in mismatches:
-            print(f"PASS {name} (n up to {cfg.max_n})")
+    for n in range(2, args.max_n + 1):
+        rep = oracle_counts(n, cap=args.oracle_cap)
+        for name, (field, lo, compute) in routes.items():
+            if n < lo:
+                continue
+            got = compute(n, store, args.memory_cap)
+            want = getattr(rep, field)
+            if got != want:
+                mismatches[name] = mismatches.get(name, 0) + 1
+                print(f"FAIL {name} n={n}: computed {got}, oracle {want}")
+    for name, (_, lo, _) in routes.items():
+        if lo <= args.max_n and name not in mismatches:
+            print(f"PASS {name} (n up to {args.max_n})")
     if mismatches:
-        total = sum(len(v) for v in mismatches.values())
+        total = sum(mismatches.values())
         print(f"verification FAILED: {total} mismatch(es)")
         return EXIT_MISMATCH
-    print(f"verification passed for n = 2..{cfg.max_n}")
+    print(f"verification passed for n = 2..{args.max_n}")
     return EXIT_OK
 
 
@@ -366,69 +307,76 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, include_format=True):
-        p.add_argument("--cache", help="path to the d-series b-file cache")
+    def add_command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument(
             "--memory-cap",
             type=int,
             metavar="BYTES",
             help="refuse table builds estimated above this many bytes",
         )
+        return p
+
+    def add_cache(p):
         p.add_argument(
-            "--oracle-cap",
-            type=int,
-            metavar="N",
-            help=f"largest n the oracle may enumerate "
-            f"(default {DEFAULT_ORACLE_CAP})",
+            "--cache",
+            default=os.environ.get("DEGSEQ_CACHE"),
+            help="path to the d-series b-file cache (default: $DEGSEQ_CACHE)",
         )
-        if include_format:
-            p.add_argument(
-                "--format",
-                choices=("table", "csv", "bfile"),
-                default="table",
-            )
 
-    p_count = sub.add_parser("count", help="compute one quantity")
+    def add_format(p):
+        p.add_argument(
+            "--format", choices=("table", "csv", "bfile"), default="table"
+        )
+
+    p_count = add_command("count", _cmd_count, "compute one quantity")
     p_count.add_argument("--quantity", choices=QUANTITIES, required=True)
-    p_count.add_argument("--n", type=int)
-    p_count.add_argument("--range", metavar="A..B")
-    add_common(p_count)
+    which = p_count.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=int)
+    which.add_argument("--range", type=_parse_range, metavar="A..B")
+    add_cache(p_count)
+    add_format(p_count)
 
-    p_series = sub.add_parser(
-        "series", help="emit a quantity over a range as b-file lines"
+    p_series = add_command(
+        "series", _cmd_count, "emit a quantity over a range as b-file lines"
     )
     p_series.add_argument("--quantity", choices=QUANTITIES, required=True)
-    p_series.add_argument("--range", metavar="A..B", required=True)
-    add_common(p_series, include_format=False)
+    p_series.add_argument(
+        "--range", type=_parse_range, metavar="A..B", required=True
+    )
+    p_series.set_defaults(n=None, format="bfile")
+    add_cache(p_series)
 
-    p_verify = sub.add_parser(
-        "verify", help="cross-check all counting paths against the oracle"
+    p_verify = add_command(
+        "verify", _cmd_verify, "cross-check every route against the oracle"
     )
     p_verify.add_argument("--max-n", type=int, required=True)
-    add_common(p_verify, include_format=False)
+    p_verify.add_argument(
+        "--oracle-cap",
+        type=int,
+        default=DEFAULT_ORACLE_CAP,
+        metavar="N",
+        help=f"largest n the oracle may enumerate "
+        f"(default {DEFAULT_ORACLE_CAP})",
+    )
 
-    p_profile = sub.add_parser(
-        "profile", help="per-degree-sum counts of one family"
+    p_profile = add_command(
+        "profile", _cmd_profile, "per-degree-sum counts of one family"
     )
     p_profile.add_argument("--n", type=int, required=True)
     p_profile.add_argument("--family", choices=("G", "L", "H"), required=True)
-    add_common(p_profile)
+    add_format(p_profile)
 
-    p_ratio = sub.add_parser(
-        "ratio", help="successive quotients d(n)/d(n-1), exact decimals"
+    p_ratio = add_command(
+        "ratio", _cmd_ratio, "successive quotients d(n)/d(n-1), exact decimals"
     )
-    p_ratio.add_argument("--range", metavar="A..B", required=True)
-    add_common(p_ratio)
+    p_ratio.add_argument(
+        "--range", type=_parse_range, metavar="A..B", required=True
+    )
+    add_cache(p_ratio)
+    add_format(p_ratio)
     return parser
-
-
-_COMMANDS = {
-    "count": _cmd_count,
-    "series": _cmd_series,
-    "verify": _cmd_verify,
-    "profile": _cmd_profile,
-    "ratio": _cmd_ratio,
-}
 
 
 # Errors reported as one line on stderr, with the exit code of each.
@@ -442,10 +390,9 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"degseq: error: {exc}", file=sys.stderr)
         return next(

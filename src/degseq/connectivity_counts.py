@@ -24,6 +24,9 @@ The biconnectivity side counts, among zero-free graphical sequences:
     at least 2n - 4 + twice the largest degree);
   * d2_minus_b(n) = d2(n) - db(n), a closed-form double sum of
     unrestricted partition numbers independent of any table.
+
+count_db composes these for every n >= 3; for n in {3, 4} the closed
+form has no terms (d2_minus_b = 0), so db = d2 there.
 """
 
 from __future__ import annotations
@@ -166,13 +169,13 @@ def count_db(
     *,
     memory_cap: int | None = None,
 ) -> BiconnReport:
-    """All biconnectivity-side counts for n >= 5.
+    """All biconnectivity-side counts for n >= 3.
 
     Composes s, b, c = b + s, d2 = d(n) - c, the closed-form
     d2_minus_b, and db = d2 - d2_minus_b.
     """
-    if n < 5:
-        raise ValueError("biconnectivity route needs n >= 5")
+    if n < 3:
+        raise ValueError("biconnectivity route needs n >= 3")
     s = count_s(n, memory_cap=memory_cap)
     b = count_b(n, prior)
     c = b + s

@@ -28,6 +28,8 @@ persists between runs as an OEIS-style b-file.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -134,10 +136,25 @@ def read_series_file(path) -> DnSeries:
 
 
 def write_series_file(path, series: DnSeries) -> None:
-    """Write a DnSeries as a b-file: `n value`, LF-terminated, ascending n."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        for n, value in series.items():
-            fh.write(f"{n} {value}\n")
+    """Write a DnSeries as a b-file: `n value`, LF-terminated, ascending n.
+
+    The lines go to a temporary file in the same directory, which is
+    flushed and synced to disk before it replaces ``path``, so a write
+    that fails or is interrupted leaves the previous file as it was.
+    """
+    fd, tmp = tempfile.mkstemp(
+        prefix=".degseq-", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="ascii", newline="") as fh:
+            for n, value in series.items():
+                fh.write(f"{n} {value}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def graphical_matrix(

@@ -91,18 +91,15 @@ def test_criterion_1_oracle_equivalence(capsys, oracle_reports, series_40):
                 "d2", n,
                 series[n] - count_b(n, series) - count_s(n), rep.d2,
             )
-        if n >= 5:
             biconn = count_db(n, series, series[n])
             check("db", n, biconn.db, rep.db)
             check("d2_minus_b", n, biconn.d2_minus_b, rep.d2_minus_b)
-    # below the closed-form route's domain the package serves db from
-    # the oracle itself, so equality there is by construction
     elapsed = time.perf_counter() - t0 + oracle_seconds
     ok = not bad and elapsed <= 300
     report(
         capsys, ok,
-        f"criterion 1: oracle equivalence for n=2..{ORACLE_LIMIT} "
-        f"(db from 5), {len(bad)} mismatches, {elapsed:.1f}s (limit 300s)",
+        f"criterion 1: oracle equivalence for n=2..{ORACLE_LIMIT}, "
+        f"{len(bad)} mismatches, {elapsed:.1f}s (limit 300s)",
     )
     assert not bad, bad[:5]
     assert elapsed <= 300

@@ -2,7 +2,7 @@
 
 import pytest
 
-from degseq.cli import main
+from degseq.cli import QUANTITIES, main
 
 
 @pytest.fixture(autouse=True)
@@ -149,8 +149,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "6")
         assert code == 0
         assert "FAIL" not in out
-        assert "PASS d_basic" in out
-        assert "PASS db" in out
+        assert "PASS d " in out
+        names = [*QUANTITIES, "d_improved", "dc_indirect", "d2_minus_b",
+                 "profile_g", "by_largest"]
+        passed = [line.split()[1] for line in out.splitlines()
+                  if line.startswith("PASS ")]
+        assert passed == names
+
+    def test_wrong_count_is_a_mismatch(self, capsys, monkeypatch):
+        import degseq.cli
+
+        count_s = degseq.cli.count_s
+        monkeypatch.setattr(
+            degseq.cli, "count_s", lambda n, **kw: count_s(n, **kw) + 1
+        )
+        code, out, _ = run(capsys, "verify", "--max-n", "5")
+        assert code == 4
+        assert "FAIL s n=3" in out
+        assert "verification FAILED" in out
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "verify", "--max-n", "20")
@@ -170,6 +186,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "count", "--quantity", "s", "--n", "2")
         assert code == 1
         assert "n >= 3" in err
+
+    def test_flags_a_subcommand_does_not_read(self, capsys):
+        code, _, err = run(capsys, "verify", "--max-n", "3", "--cache", "x")
+        assert code == 1
+        assert "unrecognized arguments: --cache" in err
+        code, _, err = run(
+            capsys, "profile", "--n", "4", "--family", "G",
+            "--oracle-cap", "3",
+        )
+        assert code == 1
+        assert "unrecognized arguments: --oracle-cap" in err
 
     def test_memory_cap_refusal(self, capsys):
         code, _, err = run(

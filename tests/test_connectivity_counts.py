@@ -13,6 +13,7 @@ from degseq.connectivity_counts import (
     count_s,
 )
 from degseq.degree_counts import DnSeries, extend_series
+from degseq.oracle import oracle_counts
 from degseq.partition_table import unrestricted_p
 
 
@@ -138,9 +139,15 @@ class TestCountDb:
         assert rep.s == 6
         assert rep.b == 4
 
-    def test_rejects_n_below_five(self, series_12):
+    def test_small_n_matches_oracle(self, series_12):
+        for n in (3, 4):
+            rep = count_db(n, series_12, series_12[n])
+            want = oracle_counts(n)
+            assert (rep.s, rep.b, rep.c, rep.d2, rep.d2_minus_b, rep.db) == (
+                want.s, want.b, want.c, want.d2, want.d2_minus_b, want.db
+            )
         with pytest.raises(ValueError):
-            count_db(4, series_12, series_12[4])
+            count_db(2, series_12, series_12[2])
 
     def test_internal_identities(self, series_12):
         for n in range(5, 13):

@@ -225,6 +225,20 @@ class TestSeriesFile:
         assert lines[0] == "1 0"
         assert lines[3] == "4 7"
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, series_10):
+        class FailingSeries(DnSeries):
+            def items(self):
+                yield from list(super().items())[:2]
+                raise RuntimeError("interrupted")
+
+        path = tmp_path / "bfile.txt"
+        write_series_file(path, series_10)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            write_series_file(path, FailingSeries([0, 1, 2]))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_reader_tolerates_comments_and_blanks(self, tmp_path):
         path = tmp_path / "bfile.txt"
         path.write_text("# header\n\n1 0\n2 1\n3 2\n")

@@ -128,6 +128,15 @@ def assert_fill_matches_reference(params):
                     )
 
 
+# Random table shapes for the fill tests.
+SHAPES = st.builds(
+    TableParams,
+    max_sum=st.integers(0, 12),
+    max_part=st.integers(0, 8),
+    target_parts=st.integers(0, 8),
+)
+
+
 def brute_exact(N, k, l, s):
     """Partitions of N with exactly l parts and largest part exactly k,
     under the same slack test."""
@@ -166,18 +175,28 @@ class TestStoredCellsAgainstBruteForce:
         assert_fill_matches_reference(TableParams(14, 5, 5))
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.builds(
-            TableParams,
-            max_sum=st.integers(0, 12),
-            max_part=st.integers(0, 8),
-            target_parts=st.integers(0, 8),
-        )
-    )
+    @given(SHAPES)
     @example(TableParams(3, 6, 2))  # max_part > max_sum
     @example(TableParams(4, 2, 7))  # target_parts > max_sum
     def test_fill_matches_reference_on_random_shapes(self, params):
         assert_fill_matches_reference(params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPES)
+    @example(TableParams(3, 6, 2))  # max_part > max_sum
+    @example(TableParams(4, 2, 7))  # target_parts > max_sum
+    def test_rows_above_k_times_l_stay_zero(self, params):
+        """The fill never clears a row, so rows N > k*l must stay zero."""
+        M = params.max_sum
+
+        def visit(l, slices):
+            for k, cells in enumerate(slices):
+                top = k * l
+                if top < M:
+                    start = (top + 1) * (top + 2) // 2  # row top + 1
+                    assert not cells[start:].any(), (params, l, k)
+
+        PartitionTable.build(params, layer_visitor=visit)
 
     def test_no_negative_cells(self, table_6):
         for N in range(13):
