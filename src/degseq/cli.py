@@ -3,8 +3,8 @@
 Subcommands:
 
   count    one quantity for one n or a range; rows `n,quantity,value`.
-  series   count with b-file output (`n value`), one line as each n is
-           computed.
+  series   count with b-file output (`n value`); a d series comes from
+           one fill, so its lines print once that fill completes.
   verify   compare every quantity, computed as count computes it without
            a cache, and five second routes with the brute-force oracle
            for n = 2..max-n; exits 4 on any mismatch.
@@ -22,11 +22,14 @@ d(n) values, is configured: with one, d is read from the cache
 (extending it as needed) and dc is d - dd; without one, both are summed
 directly from the graphical matrix and a warning says so once.
 History-based quantities (d0, h, b, c, d2, db) rebuild history in
-memory when uncached.
+memory when uncached.  The first time a request needs the series beyond
+what it holds, the series is extended to the top of the request's range
+in one pass; the cache is saved on the way out, whether the request
+succeeded or not, so an interrupted run keeps every value computed.
 
 Exit codes: 0 success; 1 bad arguments (including oracle-cap
-violations); 2 memory budget refused; 4 verification mismatch.  Code 3
-is not used.
+violations and a cache that fails its checks on reading); 2 memory
+budget refused; 4 verification mismatch.  Code 3 is not used.
 """
 
 from __future__ import annotations
@@ -96,10 +99,15 @@ def _parse_range(text: str) -> range:
 
 
 class _SeriesStore:
-    """The d-series cache: loaded once, extended on demand, saved if dirty."""
+    """The d-series cache: loaded once, extended on demand, saved if dirty.
 
-    def __init__(self, path: str | None):
+    ``top`` is the largest n of the request.  The first extension goes
+    straight to it, so a request over a range costs one fill.
+    """
+
+    def __init__(self, path: str | None, top: int):
         self.path = path
+        self.top = top
         self.dirty = False
         if path and os.path.exists(path):
             self.series = read_series_file(path)
@@ -107,9 +115,11 @@ class _SeriesStore:
             self.series = DnSeries()
 
     def ensure(self, n: int, memory_cap) -> DnSeries:
-        if self.series.n_max < max(n, 1):
-            extend_series(self.series, max(n, 1), memory_cap=memory_cap)
+        if self.series.n_max < n:
+            # Dirty first: an extension that stops early has still
+            # appended values worth saving.
             self.dirty = True
+            extend_series(self.series, max(n, self.top), memory_cap=memory_cap)
         return self.series
 
     def save(self) -> None:
@@ -217,7 +227,7 @@ def _cmd_count(args) -> int:
             f"quantity {args.quantity!r} is defined for n >= {lo}, "
             f"got n = {n_values[0]}"
         )
-    store = _SeriesStore(args.cache)
+    store = _SeriesStore(args.cache, n_values[-1])
     route = _UNCACHED_ROUTE.get(args.quantity)
     if route and not store.path:
         print(
@@ -229,8 +239,10 @@ def _cmd_count(args) -> int:
         (str(n), args.quantity, str(compute(n, store, args.memory_cap)))
         for n in n_values
     )
-    _emit(rows, ("n", "quantity", "value"), args.format)
-    store.save()
+    try:
+        _emit(rows, ("n", "quantity", "value"), args.format)
+    finally:
+        store.save()
     return EXIT_OK
 
 
@@ -255,13 +267,15 @@ def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
 def _cmd_ratio(args) -> int:
     if args.range[0] < 3:
         raise _UsageError("ratio needs n >= 3 (d(n-1) must be nonzero)")
-    store = _SeriesStore(args.cache)
-    series = store.ensure(args.range[-1], args.memory_cap)
+    store = _SeriesStore(args.cache, args.range[-1])
+    try:
+        series = store.ensure(args.range[-1], args.memory_cap)
+    finally:
+        store.save()
     rows = [
         (str(n), _ratio_decimal(series[n], series[n - 1]))
         for n in args.range
     ]
-    store.save()
     _emit(rows, ("n", "ratio"), args.format)
     return EXIT_OK
 
@@ -277,7 +291,7 @@ def _cmd_verify(args) -> int:
     routes = {q: (q, lo, compute) for q, (lo, compute) in QUANTITIES.items()}
     routes.update(_SECOND_ROUTES)
     # Uncached, so d and dc take the routes count takes without a cache.
-    store = _SeriesStore(None)
+    store = _SeriesStore(None, args.max_n)
     mismatches = {}
     for n in range(2, args.max_n + 1):
         rep = oracle_counts(n, cap=args.oracle_cap)

@@ -22,15 +22,19 @@ whole matrix, the G profile its row sums, the split by largest degree
 its column sums, and the L and H profiles row sums over the columns
 k <= n - 2 and k = n - 1.  The series d(1), d(2), ... is built with
 d(n) = l(n) + d0(n-1), which needs only the lower half of the L profile
-and the exact earlier values, supplied as a DnSeries; the series
-persists between runs as an OEIS-style b-file.
+and the exact earlier values, supplied as a DnSeries.  Table cells do
+not depend on the table's size, so one fill sized for the largest n
+serves every smaller one: extend_series reads l(i) from layer i - 1 as
+the fill passes it.  The series persists between runs as an OEIS-style
+b-file, checked against bounds every true series meets when it is read.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from .errors import MissingPriorError
@@ -111,11 +115,39 @@ class DnSeries:
         return isinstance(other, DnSeries) and self._vals == other._vals
 
 
+# d(1)..d(5), small enough to enumerate by hand.
+_KNOWN_D = (0, 1, 2, 7, 20)
+
+
+def _implausible(values) -> tuple | None:
+    """(n, reason) for the first d(n) in ``values`` (d(1) first) that no
+    true series holds, or None.
+
+    Every true series has the known d(1)..d(5), increases strictly, and
+    for n >= 3 stays below C(2n - 2, n), the number of non-increasing
+    sequences of n degrees in 1..n - 1 (about half of which have an odd
+    sum).
+    """
+    for n, value in enumerate(values, start=1):
+        if n <= len(_KNOWN_D) and value != _KNOWN_D[n - 1]:
+            return n, f"d({n}) is {_KNOWN_D[n - 1]}"
+        if n > 1 and value <= values[n - 2]:
+            return n, f"not above d({n - 1}) = {values[n - 2]}"
+        if n >= 3 and value >= math.comb(2 * n - 2, n):
+            return n, f"not below C({2 * n - 2}, {n})"
+    return None
+
+
 def read_series_file(path) -> DnSeries:
     """Load a DnSeries from a b-file (`n value` per line).
 
     Blank lines and lines starting with '#' are skipped.  The remaining
     lines must cover n = 1..n_max contiguously (any order).
+
+    Raises:
+        ValueError: a malformed file, or a value no true series holds
+            (see _implausible); the message names the file and the
+            first bad n.
     """
     pairs = {}
     with open(path, "r", encoding="ascii") as fh:
@@ -132,7 +164,15 @@ def read_series_file(path) -> DnSeries:
             pairs[n] = value
     if not pairs or sorted(pairs) != list(range(1, len(pairs) + 1)):
         raise ValueError("series file must cover n = 1..n_max without gaps")
-    return DnSeries(pairs[n] for n in range(1, len(pairs) + 1))
+    values = [pairs[n] for n in range(1, len(pairs) + 1)]
+    bad = _implausible(values)
+    if bad is not None:
+        n, reason = bad
+        raise ValueError(
+            f"series file {path}: d({n}) = {values[n - 1]} is wrong "
+            f"({reason})"
+        )
+    return DnSeries(values)
 
 
 def write_series_file(path, series: DnSeries) -> None:
@@ -157,22 +197,38 @@ def write_series_file(path, series: DnSeries) -> None:
         raise
 
 
+def _matrix_params(n: int, max_sum: int, degrees: range) -> TableParams:
+    """The smallest table that serves graphical_matrix(n, max_sum, degrees).
+
+    A cell reads sum N - k - n + 1 and part bound k - 1, and sums above
+    (k - 1)(n - 1) are zero by the clamp chain without being stored.
+    """
+    max_part = max(0, degrees.stop - 2)
+    stored = min(max_sum - degrees.start - n + 1, max_part * (n - 1))
+    return TableParams(max(0, stored), max_part, target_parts=n - 1)
+
+
 def graphical_matrix(
-    n: int, max_sum: int, degrees: range, *, memory_cap: int | None = None
+    n: int,
+    max_sum: int,
+    degrees: range,
+    *,
+    table: PartitionTable | None = None,
+    memory_cap: int | None = None,
 ) -> dict:
     """The graphical counts g(N, k, n) that every quantity here sums.
 
     Returns a mapping from each even N in [n, max_sum] to the row
     [g(N, k, n) for k in degrees], the number of zero-free graphical
     sequences on n vertices with sum N and largest degree exactly k.
-    One table sized for exactly these cells serves them: a cell reads
-    sum N - k - n + 1 and part bound k - 1, and sums above
-    (k - 1)(n - 1) are zero by the clamp chain without being stored.
+    They are read from ``table``, which must hold layer n - 1 and cover
+    _matrix_params(n, max_sum, degrees); without one, a table of
+    exactly that size is built.
     """
-    max_part = degrees.stop - 2
-    stored = min(max_sum - degrees.start - n + 1, max_part * (n - 1))
-    params = TableParams(max(0, stored), max_part, target_parts=n - 1)
-    table = PartitionTable.build(params, memory_cap=memory_cap)
+    if table is None:
+        table = PartitionTable.build(
+            _matrix_params(n, max_sum, degrees), memory_cap=memory_cap
+        )
     return {
         N: [table.g_prime(N, k, n) for k in degrees]
         for N in _even_range(n, max_sum)
@@ -192,12 +248,18 @@ def count_d_basic(n: int, *, memory_cap: int | None = None) -> int:
 
 
 def count_d_improved(
-    n: int, prior: DnSeries, *, memory_cap: int | None = None
+    n: int,
+    prior: DnSeries,
+    *,
+    table: PartitionTable | None = None,
+    memory_cap: int | None = None,
 ) -> int:
     """d(n) = l(n) + h(n), with h(n) = d0(n-1) read from ``prior``.
 
     Only l(n) needs a table, and its mirrored profile only the lower
-    half of the sums.  Needs exact d(2)..d(n-1) in ``prior``.
+    half of the sums.  l(n) is read from ``table`` when given (a table
+    holding layer n - 1 and covering the cells count_l(n) reads), else
+    from a table built for it.  Needs exact d(2)..d(n-1) in ``prior``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -208,7 +270,8 @@ def count_d_improved(
             f"improved route to d({n}) needs d(1)..d({n - 1}), "
             f"series holds up to d({prior.n_max})"
         )
-    return count_l(n, memory_cap=memory_cap) + count_h(n, prior)
+    l_n = _profile(n, "L", True, table, memory_cap).total()
+    return l_n + count_h(n, prior)
 
 
 def count_d0(n: int, prior: DnSeries) -> int:
@@ -257,11 +320,14 @@ def profile(
     needs a larger table and exists so the symmetry can be validated
     rather than assumed.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}")
-    if n < 2:
-        raise ValueError("need n >= 2")
+    return _profile(n, family, mirror, None, memory_cap)
 
+
+def _family_layout(n: int, family: str, mirror: bool) -> tuple:
+    """(lo, hi, center, top, degrees) of a family's profile: its sums
+    run over the even N in [lo, hi], mirror about center / 2 (None for
+    G), and are read from the graphical matrix up to sum top over the
+    largest degrees in ``degrees``."""
     if family == "G":
         lo, hi, center, degrees = n, n * (n - 1), None, range(1, n)
     elif family == "L":
@@ -270,11 +336,28 @@ def profile(
     else:
         lo, hi = 2 * (n - 1), n * (n - 1)
         center, degrees = (n + 2) * (n - 1), range(n - 1, n)
+    top = center // 2 if mirror and family != "G" else hi
+    return lo, hi, center, top, degrees
 
+
+def _profile(
+    n: int,
+    family: str,
+    mirror: bool,
+    table: PartitionTable | None,
+    memory_cap: int | None,
+) -> SumProfile:
+    """profile(), reading the matrix from ``table`` when one is given."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}")
+    if n < 2:
+        raise ValueError("need n >= 2")
+    lo, hi, center, top, degrees = _family_layout(n, family, mirror)
     if hi < lo:
         return SumProfile(n=n, family=family, entries={})
-    top = center // 2 if mirror and family != "G" else hi
-    rows = graphical_matrix(n, top, degrees, memory_cap=memory_cap)
+    rows = graphical_matrix(
+        n, top, degrees, table=table, memory_cap=memory_cap
+    )
     entries = {N: sum(row) for N, row in rows.items() if N >= lo}
     for N in _even_range(top + 1, hi):
         entries[N] = entries[center - N]
@@ -294,8 +377,29 @@ def count_by_largest(n: int, *, memory_cap: int | None = None) -> dict:
 def extend_series(
     series: DnSeries, n: int, *, memory_cap: int | None = None
 ) -> DnSeries:
-    """Grow ``series`` in place with the improved route until it holds d(n)."""
-    while series.n_max < n:
-        i = series.n_max + 1
-        series.append(count_d_improved(i, series, memory_cap=memory_cap))
+    """Grow ``series`` in place with the improved route until it holds d(n).
+
+    One table, the one count_l(n) builds, is filled once.  Its cells do
+    not depend on the table's size, so as the fill completes layer
+    l = i - 1 that layer answers every l(i) query that a table built for
+    i would: for each missing i, count_d_improved reads l(i) from a
+    read-only view of the layer, valid only while the visitor runs,
+    and d(i) is appended at once.  A pass
+    that stops early (an interrupt, an error) keeps every d(i) appended
+    before it stopped.  The memory cap is checked for that one table
+    before any value is computed, so a refusal leaves ``series`` as it
+    was.
+    """
+    if series.n_max >= n:
+        return series
+    _, _, _, top, degrees = _family_layout(n, "L", True)
+    params = _matrix_params(n, top, degrees)
+
+    def harvest(l: int, slices: list) -> None:
+        i = l + 1
+        if i == series.n_max + 1:
+            view = PartitionTable(replace(params, target_parts=l), {l: slices})
+            series.append(count_d_improved(i, series, table=view))
+
+    PartitionTable.build(params, memory_cap=memory_cap, layer_visitor=harvest)
     return series

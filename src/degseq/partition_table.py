@@ -31,6 +31,7 @@ pentagonal-number recurrence.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +40,19 @@ import numpy as np
 from .errors import LayerNotResidentError, MemoryBudgetError
 from ._kernels import fill_layer
 
-DEFAULT_MEMORY_CAP = 8 * 2**30
+
+def _default_memory_cap() -> int:
+    """Physical memory less a margin of one eighth of it, left for the
+    interpreter, the operating system and other processes; 8 GiB where
+    the platform does not report its physical memory."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 8 * 2**30
+    return physical - physical // 8
+
+
+DEFAULT_MEMORY_CAP = _default_memory_cap()
 
 # Rough per-cell cost of an object array slot: an 8-byte pointer plus a
 # small-int object (~28 bytes) rounded up to cover allocator overhead.
@@ -71,6 +84,15 @@ def estimate_table_bytes(params: TableParams) -> int:
     return 2 * (params.max_part + 1) * tri * _BYTES_PER_SLOT
 
 
+def _row_offsets(max_sum: int) -> list:
+    """Start of each row N = 0..max_sum + 1 in a packed slice, where row
+    N holds s = 0..N; the last entry is the slice length."""
+    off = [0] * (max_sum + 2)
+    for n in range(1, max_sum + 2):
+        off[n] = off[n - 1] + n
+    return off
+
+
 class PartitionTable:
     """Rolling two-layer table of the four-parameter partition counts.
 
@@ -78,13 +100,20 @@ class PartitionTable:
     returns and can be shared freely between readers.  Only the layers
     l = target_parts and l = target_parts - 1 remain resident; queries
     whose clamped l matches neither raise LayerNotResidentError.
+
+    The constructor wraps layers already filled: ``layers`` maps each
+    resident l to its list of per-k slices, packed as ``build`` packs
+    them for ``params.max_sum`` and ``params.max_part``.  Wrapping the
+    live layer a ``layer_visitor`` receives gives a read-only view of
+    it, valid only until the visitor returns, because the fill then
+    overwrites those buffers.
     """
 
-    def __init__(self, params: TableParams, layers, off):
+    def __init__(self, params: TableParams, layers: dict):
         self.params = params
         self.filled_l = params.target_parts
         self._layers = layers
-        self._off = off
+        self._off = _row_offsets(params.max_sum)
 
     @classmethod
     def build(
@@ -99,7 +128,8 @@ class PartitionTable:
         Args:
             params: table dimensions.
             memory_cap: byte budget checked before any allocation;
-                defaults to 8 GiB.
+                defaults to DEFAULT_MEMORY_CAP, seven eighths of the
+                machine's physical memory.
             layer_visitor: optional callback invoked as visitor(l, slices)
                 after each layer l >= 1 is filled, before the buffers
                 roll.  ``slices`` is the live list of per-k flat arrays
@@ -114,9 +144,7 @@ class PartitionTable:
             raise MemoryBudgetError(estimate, cap)
         M, K, target = params.max_sum, params.max_part, params.target_parts
 
-        off = [0] * (M + 2)
-        for n in range(1, M + 2):
-            off[n] = off[n - 1] + n
+        off = _row_offsets(M)
         tri = off[M + 1]
 
         def fresh_slice() -> np.ndarray:
@@ -129,14 +157,14 @@ class PartitionTable:
         shared0 = fresh_slice()
         prev = [shared0] + [fresh_slice() for _ in range(K)]
         if target == 0:
-            return cls(params, {0: prev}, off)
+            return cls(params, {0: prev})
         cur = [shared0] + [np.zeros(tri, dtype=object) for _ in range(K)]
         for l in range(1, target + 1):
             fill_layer(cur, prev, l, off, M, K)
             if layer_visitor is not None:
                 layer_visitor(l, cur)
             prev, cur = cur, prev
-        return cls(params, {target: prev, target - 1: cur}, off)
+        return cls(params, {target: prev, target - 1: cur})
 
     @property
     def resident_layers(self) -> tuple:

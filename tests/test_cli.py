@@ -2,6 +2,7 @@
 
 import pytest
 
+from degseq import degree_counts
 from degseq.cli import QUANTITIES, main
 
 
@@ -264,6 +265,46 @@ class TestCacheFlow:
         assert code == 0
         assert flag_cache.exists()
         assert not env_cache.exists()
+
+    def test_impossible_cache_value_is_refused(self, capsys, tmp_path):
+        # d(5) is 20; read unchecked, this cache made d0(5) print 32.
+        cache = tmp_path / "bad.txt"
+        cache.write_text("1 0\n2 1\n3 2\n4 7\n5 21\n")
+        code, out, err = run(
+            capsys, "count", "--quantity", "d0", "--n", "5",
+            "--cache", str(cache),
+        )
+        assert code == 1
+        assert out == ""
+        assert f"{cache}: d(5) = 21" in err
+
+    def test_range_builds_one_table(self, capsys, tmp_path, table_builds):
+        code, out, _ = run(
+            capsys, "series", "--quantity", "d", "--range", "2..12",
+            "--cache", str(tmp_path / "d.txt"),
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "12 162769"
+        assert len(table_builds) == 1
+
+    def test_interrupted_series_keeps_computed_values(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        count_h = degree_counts.count_h
+
+        def interrupted_at_7(n, prior):
+            if n == 7:
+                raise KeyboardInterrupt
+            return count_h(n, prior)
+
+        monkeypatch.setattr(degree_counts, "count_h", interrupted_at_7)
+        cache = tmp_path / "d.txt"
+        with pytest.raises(KeyboardInterrupt):
+            main([
+                "series", "--quantity", "d", "--range", "2..10",
+                "--cache", str(cache),
+            ])
+        assert cache.read_text() == "1 0\n2 1\n3 2\n4 7\n5 20\n6 71\n"
 
     def test_corrupt_cache_is_reported(self, capsys, tmp_path):
         cache = tmp_path / "bad.txt"

@@ -17,7 +17,8 @@ from degseq.degree_counts import (
     read_series_file,
     write_series_file,
 )
-from degseq.errors import MissingPriorError
+from degseq.errors import MemoryBudgetError, MissingPriorError
+from degseq.partition_table import TableParams, estimate_table_bytes
 
 # Zero-free counts d(2)..d(8), cross-checked against the brute-force
 # oracle before being frozen here.
@@ -209,6 +210,31 @@ class TestDnSeries:
         assert partial == series_10
 
 
+class TestExtendSeries:
+    def test_one_table_build(self, table_builds):
+        series = extend_series(DnSeries(), 14)
+        # The table count_l(14) builds: the lower half of the L profile.
+        assert table_builds == [TableParams(14 * 13 // 2 - 14, 11, 13)]
+        assert [series[n] for n in KNOWN_D] == list(KNOWN_D.values())
+
+    def test_resume_from_every_prefix(self):
+        whole = extend_series(DnSeries(), 14)
+        for m in range(1, 14):
+            resumed = DnSeries(whole[n] for n in range(1, m + 1))
+            assert extend_series(resumed, 14) == whole, m
+
+    def test_refused_cap_leaves_series_unchanged(self):
+        series = extend_series(DnSeries(), 10)
+        before = DnSeries(v for _, v in series.items())
+        need = estimate_table_bytes(
+            TableParams(min(40 * 39 // 2 - 40, 37 * 39), 37, 39)
+        )
+        with pytest.raises(MemoryBudgetError) as err:
+            extend_series(series, 40, memory_cap=need - 1)
+        assert err.value.estimated_bytes == need
+        assert series == before
+
+
 class TestSeriesFile:
     def test_round_trip(self, tmp_path, series_10):
         path = tmp_path / "bfile.txt"
@@ -250,4 +276,19 @@ class TestSeriesFile:
         path = tmp_path / "bfile.txt"
         path.write_text("1 0\n3 2\n")
         with pytest.raises(ValueError):
+            read_series_file(path)
+
+    @pytest.mark.parametrize(
+        "tail,bad_n",
+        [
+            ([21], 5),  # d(5) is 20
+            ([20, 20], 6),  # not increasing
+            ([20, 210], 6),  # C(10, 6) = 210 sequences of 6 degrees in 1..5
+        ],
+    )
+    def test_reader_rejects_impossible_values(self, tmp_path, tail, bad_n):
+        path = tmp_path / "bfile.txt"
+        values = [0, 1, 2, 7] + tail
+        path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(values, 1)))
+        with pytest.raises(ValueError, match=rf"bfile\.txt: d\({bad_n}\) "):
             read_series_file(path)

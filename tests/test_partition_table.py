@@ -7,6 +7,7 @@ transcription of the recurrence checks the vectorized layer fill.
 """
 
 import itertools
+import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from degseq.errors import LayerNotResidentError, MemoryBudgetError
 from degseq.partition_table import (
+    DEFAULT_MEMORY_CAP,
     BoundedPartitionTable,
     PartitionTable,
     TableParams,
@@ -340,6 +342,34 @@ class TestMemoryBudget:
         params = TableParams(20, 4, 4)
         need = estimate_table_bytes(params)
         PartitionTable.build(params, memory_cap=need)
+
+    def test_default_cap_below_physical_memory(self):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert 0 < DEFAULT_MEMORY_CAP < physical
+
+
+class TestLayerView:
+    def test_view_of_live_layer_matches_built_table(self):
+        params = TableParams(12, 5, 6)
+        checked = []
+
+        def visit(l, slices):
+            view = PartitionTable(
+                TableParams(params.max_sum, params.max_part, l), {l: slices}
+            )
+            built = PartitionTable.build(
+                TableParams(params.max_sum, params.max_part, l)
+            )
+            for N in range(params.max_sum + 1):
+                for k in range(params.max_part + 1):
+                    for s in range(N + 1):
+                        assert view.query_raw(N, k, l, s) == (
+                            built.query_raw(N, k, l, s)
+                        ), (l, N, k, s)
+            checked.append(l)
+
+        PartitionTable.build(params, layer_visitor=visit)
+        assert checked == list(range(1, params.target_parts + 1))
 
 
 class TestBoundedTable:
