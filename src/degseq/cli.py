@@ -5,9 +5,9 @@ Subcommands:
   count    one quantity for one n or a range; rows `n,quantity,value`.
   series   count with b-file output (`n value`); a d series comes from
            one fill, so its lines print once that fill completes.
-  verify   compare every quantity, computed as count computes it without
-           a cache, and five second routes with the brute-force oracle
-           for n = 2..max-n; exits 4 on any mismatch.
+  verify   compare every quantity, computed as count computes it, and
+           five second routes with the brute-force oracle for
+           n = 2..max-n; exits 4 on any mismatch.
   profile  per-degree-sum counts of one family (G, L, or H).
   ratio    successive quotients d(n)/d(n-1) as exact decimals.
 
@@ -16,16 +16,15 @@ them, `--cache` count, series and ratio, `--oracle-cap` verify, and
 `--format` count, profile and ratio.
 
 Each quantity is served by one route, looked up in the QUANTITIES
-table.  For d and dc the route follows from whether a d series cache
+table.  d is read from the d series, extended with
+d(n) = l(n) + d0(n-1) as needed, and dc is d - dd.  A d series cache
 (`--cache` or the DEGSEQ_CACHE environment variable), a b-file of exact
-d(n) values, is configured: with one, d is read from the cache
-(extending it as needed) and dc is d - dd; without one, both are summed
-directly from the graphical matrix and a warning says so once.
-History-based quantities (d0, h, b, c, d2, db) rebuild history in
-memory when uncached.  The first time a request needs the series beyond
-what it holds, the series is extended to the top of the request's range
-in one pass; the cache is saved on the way out, whether the request
-succeeded or not, so an interrupted run keeps every value computed.
+d(n) values, only decides whether the series persists between runs;
+without one it lives in memory for the request.  The first time a
+request needs the series beyond what it holds, the series is extended
+in one pass to the furthest value the request reads; the cache is saved
+on the way out, whether the request succeeded or not, so an interrupted
+run keeps every value computed.
 
 Exit codes: 0 success; 1 bad arguments (including oracle-cap
 violations and a cache that fails its checks on reading); 2 memory
@@ -99,10 +98,11 @@ def _parse_range(text: str) -> range:
 
 
 class _SeriesStore:
-    """The d-series cache: loaded once, extended on demand, saved if dirty.
+    """The d series: loaded once, extended on demand, saved if dirty.
 
-    ``top`` is the largest n of the request.  The first extension goes
-    straight to it, so a request over a range costs one fill.
+    ``top`` is the furthest d(n) the request reads.  The first
+    extension goes straight to it, so a request over a range costs one
+    fill.  With no ``path`` the series lives in memory only.
     """
 
     def __init__(self, path: str | None, top: int):
@@ -128,18 +128,6 @@ class _SeriesStore:
             self.dirty = False
 
 
-def _d(n, store, cap):
-    if store.path:
-        return store.ensure(n, cap)[n]
-    return count_d_basic(n, memory_cap=cap)
-
-
-def _dc(n, store, cap):
-    if store.path:
-        return count_dc_indirect(n, store.ensure(n, cap)[n])
-    return count_dc_direct(n, memory_cap=cap)
-
-
 def _c(n, store, cap):
     return count_b(n, store.ensure(n - 2, cap)) + count_s(n, memory_cap=cap)
 
@@ -149,36 +137,39 @@ def _db(n, store, cap):
     return count_db(n, series, series[n], memory_cap=cap).db
 
 
-# quantity -> (smallest n, compute(n, store, memory_cap)).  Every entry
-# calls its counters through this module's globals at call time, so a
-# counter rebound here (say, by a tracer) is the one that runs.
+# quantity -> (smallest n, lag, compute(n, store, memory_cap)), where
+# compute(n, ...) reads the d series no further than d(n - lag).  Every
+# entry calls its counters through this module's globals at call time,
+# so a counter rebound here (say, by a tracer) is the one that runs.
 QUANTITIES = {
-    "d": (2, _d),
-    "d0": (1, lambda n, store, cap: count_d0(n, store.ensure(n, cap))),
-    "h": (2, lambda n, store, cap: count_h(n, store.ensure(n - 1, cap))),
-    "l": (2, lambda n, store, cap: count_l(n, memory_cap=cap)),
-    "dc": (2, _dc),
-    "dd": (2, lambda n, store, cap: count_dd(n)),
-    "s": (3, lambda n, store, cap: count_s(n, memory_cap=cap)),
-    "b": (3, lambda n, store, cap: count_b(n, store.ensure(n - 2, cap))),
-    "c": (3, _c),
-    "d2": (
-        3, lambda n, store, cap: store.ensure(n, cap)[n] - _c(n, store, cap)
+    "d": (2, 0, lambda n, store, cap: store.ensure(n, cap)[n]),
+    "d0": (1, 0, lambda n, store, cap: count_d0(n, store.ensure(n, cap))),
+    "h": (2, 1, lambda n, store, cap: count_h(n, store.ensure(n - 1, cap))),
+    "l": (2, 0, lambda n, store, cap: count_l(n, memory_cap=cap)),
+    "dc": (
+        2, 0,
+        lambda n, store, cap: count_dc_indirect(n, store.ensure(n, cap)[n]),
     ),
-    "db": (3, _db),
+    "dd": (2, 0, lambda n, store, cap: count_dd(n)),
+    "s": (3, 0, lambda n, store, cap: count_s(n, memory_cap=cap)),
+    "b": (3, 2, lambda n, store, cap: count_b(n, store.ensure(n - 2, cap))),
+    "c": (3, 2, _c),
+    "d2": (
+        3, 0,
+        lambda n, store, cap: store.ensure(n, cap)[n] - _c(n, store, cap),
+    ),
+    "db": (3, 0, _db),
 }
-
-# The route _d and _dc take when no cache is configured.
-_UNCACHED_ROUTE = {"d": "basic", "dc": "direct"}
 
 # Routes verify checks besides QUANTITIES, each the second way to a
 # number the package serves: name -> (CountReport field, smallest n,
 # compute(n, store, memory_cap)).
 _SECOND_ROUTES = {
-    "d_improved": ("d", 2, lambda n, store, cap: store.ensure(n, cap)[n]),
-    "dc_indirect": (
-        "dc", 2,
-        lambda n, store, cap: count_dc_indirect(n, store.ensure(n, cap)[n]),
+    "d_basic": (
+        "d", 2, lambda n, store, cap: count_d_basic(n, memory_cap=cap)
+    ),
+    "dc_direct": (
+        "dc", 2, lambda n, store, cap: count_dc_direct(n, memory_cap=cap)
     ),
     "d2_minus_b": (
         "d2_minus_b", 3, lambda n, store, cap: count_d2_minus_b(n)
@@ -221,20 +212,13 @@ def _emit(rows, header, fmt) -> None:
 
 def _cmd_count(args) -> int:
     n_values = (args.n,) if args.range is None else args.range
-    lo, compute = QUANTITIES[args.quantity]
+    lo, lag, compute = QUANTITIES[args.quantity]
     if n_values[0] < lo:
         raise _UsageError(
             f"quantity {args.quantity!r} is defined for n >= {lo}, "
             f"got n = {n_values[0]}"
         )
-    store = _SeriesStore(args.cache, n_values[-1])
-    route = _UNCACHED_ROUTE.get(args.quantity)
-    if route and not store.path:
-        print(
-            f"degseq: warning: no cache configured; using the {route} "
-            f"algorithm for {args.quantity}",
-            file=sys.stderr,
-        )
+    store = _SeriesStore(args.cache, n_values[-1] - lag)
     rows = (
         (str(n), args.quantity, str(compute(n, store, args.memory_cap)))
         for n in n_values
@@ -288,9 +272,10 @@ def _cmd_verify(args) -> int:
         )
     if args.max_n < 2:
         raise _UsageError("verify needs --max-n >= 2")
-    routes = {q: (q, lo, compute) for q, (lo, compute) in QUANTITIES.items()}
+    routes = {
+        q: (q, lo, compute) for q, (lo, _, compute) in QUANTITIES.items()
+    }
     routes.update(_SECOND_ROUTES)
-    # Uncached, so d and dc take the routes count takes without a cache.
     store = _SeriesStore(None, args.max_n)
     mismatches = {}
     for n in range(2, args.max_n + 1):

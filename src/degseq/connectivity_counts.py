@@ -9,8 +9,9 @@ so the zero-free count d(n) splits by degree sum alone:
 
 The dd sums live below 2(n - 1), which keeps every lookup on the
 saturated slack surface; a BoundedPartitionTable therefore answers them
-with cubic total work.  dc is the graphical matrix summed over the high
-range of sums, or d(n) - dd(n) when d(n) is already known.
+with cubic total work.  dc is served as d(n) - dd(n) from the exact
+d(n); count_dc_direct, the graphical matrix summed over the high range
+of sums, is the independent route it is checked against.
 
 The biconnectivity side counts, among zero-free graphical sequences:
 
@@ -39,12 +40,11 @@ from .partition_table import BoundedPartitionTable, TableParams, unrestricted_p
 
 @dataclass
 class ConnectivityReport:
-    """dc/dd split for one n; ``method`` records how dc was obtained."""
+    """dc/dd split for one n."""
 
     n: int
     dc: int
     dd: int
-    method: str
 
 
 @dataclass
@@ -101,23 +101,10 @@ def count_dc_indirect(n: int, d_n: int) -> int:
     return d_n - count_dd(n)
 
 
-def connectivity_report(
-    n: int,
-    d_n: int | None = None,
-    *,
-    method: str = "indirect",
-    memory_cap: int | None = None,
-) -> ConnectivityReport:
-    """Bundle dc and dd for one n using the requested dc method."""
-    if method == "indirect":
-        if d_n is None:
-            raise ValueError("indirect method needs d_n")
-        dd = count_dd(n)
-        return ConnectivityReport(n=n, dc=d_n - dd, dd=dd, method=method)
-    if method == "direct":
-        dc = count_dc_direct(n, memory_cap=memory_cap)
-        return ConnectivityReport(n=n, dc=dc, dd=count_dd(n), method=method)
-    raise ValueError("method must be 'direct' or 'indirect'")
+def connectivity_report(n: int, d_n: int) -> ConnectivityReport:
+    """dc and dd for one n, with dc = d(n) - dd(n) from the exact d(n)."""
+    dd = count_dd(n)
+    return ConnectivityReport(n=n, dc=d_n - dd, dd=dd)
 
 
 def count_s(n: int, *, memory_cap: int | None = None) -> int:

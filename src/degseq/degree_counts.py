@@ -25,8 +25,9 @@ d(n) = l(n) + d0(n-1), which needs only the lower half of the L profile
 and the exact earlier values, supplied as a DnSeries.  Table cells do
 not depend on the table's size, so one fill sized for the largest n
 serves every smaller one: extend_series reads l(i) from layer i - 1 as
-the fill passes it.  The series persists between runs as an OEIS-style
-b-file, checked against bounds every true series meets when it is read.
+the fill passes it.  A DnSeries refuses any value that breaks bounds
+every true series meets, whether the value was computed or read from
+the OEIS-style b-file the series persists in between runs.
 """
 
 from __future__ import annotations
@@ -68,22 +69,44 @@ class SumProfile:
         return sum(self.entries.values())
 
 
+# d(1)..d(5), small enough to enumerate by hand.
+_KNOWN_D = (0, 1, 2, 7, 20)
+
+
+def _implausible(n: int, value: int, previous: int | None) -> str | None:
+    """Why no true series holds d(n) = ``value`` after d(n - 1) =
+    ``previous``, or None.
+
+    Every true series has the known d(1)..d(5), increases strictly, and
+    for n >= 3 stays below C(2n - 2, n), the number of non-increasing
+    sequences of n degrees in 1..n - 1 (about half of which have an odd
+    sum).
+    """
+    if n <= len(_KNOWN_D):
+        if value != _KNOWN_D[n - 1]:
+            return f"d({n}) is {_KNOWN_D[n - 1]}"
+    elif value <= previous:
+        return f"not above d({n - 1}) = {previous}"
+    elif value >= math.comb(2 * n - 2, n):
+        return f"not below C({2 * n - 2}, {n})"
+    return None
+
+
 class DnSeries:
     """Exact values d(1)..d(n_max), the zero-free counts, 1-indexed.
 
     d(1) = 0 (a single vertex admits no zero-free sequence) anchors the
-    series; values append contiguously.
+    series; values append contiguously, and a value no true series holds
+    (see _implausible) is refused with a ValueError naming the first
+    bad n.
     """
 
     def __init__(self, values: Iterable[int] = (0,)):
-        vals = [int(v) for v in values]
-        if not vals or vals[0] != 0:
+        self._vals = []
+        for value in values:
+            self.append(value)
+        if not self._vals:
             raise ValueError("series must start with d(1) = 0")
-        if len(vals) >= 2 and vals[1] != 1:
-            raise ValueError("d(2) must be 1")
-        if any(v < 0 for v in vals):
-            raise ValueError("counts are nonnegative")
-        self._vals = vals
 
     @property
     def n_max(self) -> int:
@@ -101,11 +124,11 @@ class DnSeries:
 
     def append(self, value: int) -> None:
         """Record d(n_max + 1)."""
-        if self.n_max == 1 and value != 1:
-            raise ValueError("d(2) must be 1")
-        if value < 0:
-            raise ValueError("counts are nonnegative")
-        self._vals.append(int(value))
+        n, value = self.n_max + 1, int(value)
+        reason = _implausible(n, value, self._vals[-1] if self._vals else None)
+        if reason is not None:
+            raise ValueError(f"d({n}) = {value} is wrong ({reason})")
+        self._vals.append(value)
 
     def items(self) -> Iterator[tuple]:
         for i, v in enumerate(self._vals, start=1):
@@ -113,29 +136,6 @@ class DnSeries:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DnSeries) and self._vals == other._vals
-
-
-# d(1)..d(5), small enough to enumerate by hand.
-_KNOWN_D = (0, 1, 2, 7, 20)
-
-
-def _implausible(values) -> tuple | None:
-    """(n, reason) for the first d(n) in ``values`` (d(1) first) that no
-    true series holds, or None.
-
-    Every true series has the known d(1)..d(5), increases strictly, and
-    for n >= 3 stays below C(2n - 2, n), the number of non-increasing
-    sequences of n degrees in 1..n - 1 (about half of which have an odd
-    sum).
-    """
-    for n, value in enumerate(values, start=1):
-        if n <= len(_KNOWN_D) and value != _KNOWN_D[n - 1]:
-            return n, f"d({n}) is {_KNOWN_D[n - 1]}"
-        if n > 1 and value <= values[n - 2]:
-            return n, f"not above d({n - 1}) = {values[n - 2]}"
-        if n >= 3 and value >= math.comb(2 * n - 2, n):
-            return n, f"not below C({2 * n - 2}, {n})"
-    return None
 
 
 def read_series_file(path) -> DnSeries:
@@ -146,33 +146,28 @@ def read_series_file(path) -> DnSeries:
 
     Raises:
         ValueError: a malformed file, or a value no true series holds
-            (see _implausible); the message names the file and the
-            first bad n.
+            (see DnSeries); the message names the file, and the first
+            bad n for a bad value.
     """
     pairs = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"malformed series line: {raw!r}")
-            n, value = int(fields[0]), int(fields[1])
-            if n in pairs:
-                raise ValueError(f"duplicate series entry for n={n}")
-            pairs[n] = value
-    if not pairs or sorted(pairs) != list(range(1, len(pairs) + 1)):
-        raise ValueError("series file must cover n = 1..n_max without gaps")
-    values = [pairs[n] for n in range(1, len(pairs) + 1)]
-    bad = _implausible(values)
-    if bad is not None:
-        n, reason = bad
-        raise ValueError(
-            f"series file {path}: d({n}) = {values[n - 1]} is wrong "
-            f"({reason})"
-        )
-    return DnSeries(values)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for raw in fh:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split()
+                if len(fields) != 2:
+                    raise ValueError(f"malformed series line: {raw!r}")
+                n, value = int(fields[0]), int(fields[1])
+                if n in pairs:
+                    raise ValueError(f"duplicate series entry for n={n}")
+                pairs[n] = value
+        if not pairs or sorted(pairs) != list(range(1, len(pairs) + 1)):
+            raise ValueError("must cover n = 1..n_max without gaps")
+        return DnSeries(pairs[n] for n in range(1, len(pairs) + 1))
+    except ValueError as exc:
+        raise ValueError(f"series file {path}: {exc}") from None
 
 
 def write_series_file(path, series: DnSeries) -> None:

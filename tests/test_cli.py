@@ -4,6 +4,8 @@ import pytest
 
 from degseq import degree_counts
 from degseq.cli import QUANTITIES, main
+from degseq.degree_counts import count_d_basic
+from degseq.partition_table import TableParams
 
 
 @pytest.fixture(autouse=True)
@@ -52,14 +54,34 @@ class TestCount:
             "2,dd,0", "3,dd,0", "4,dd,1", "5,dd,1", "6,dd,3",
         ]
 
-    def test_uncached_d_warns_and_uses_basic(self, capsys):
+    def test_uncached_d_is_quiet(self, capsys):
         code, out, err = run(
             capsys, "count", "--quantity", "d", "--n", "5",
             "--format", "csv",
         )
         assert code == 0
         assert "5,d,20" in out
-        assert "warning" in err
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "quantity,n,params,value",
+        [
+            # b(20) = d0(18) reads the series only up to d(18).
+            ("b", 20, TableParams(135, 15, 17), 675759564),
+            ("d", 30, TableParams(405, 27, 29), 5876236938019298),
+        ],
+    )
+    def test_uncached_count_builds_the_table_it_reads(
+        self, capsys, table_builds, quantity, n, params, value
+    ):
+        code, out, err = run(
+            capsys, "count", "--quantity", quantity, "--n", str(n),
+            "--format", "bfile",
+        )
+        assert code == 0
+        assert out == f"{n} {value}\n"
+        assert err == ""
+        assert table_builds == [params]
 
     def test_bfile_format(self, capsys):
         code, out, _ = run(
@@ -92,13 +114,17 @@ class TestSeries:
         assert code == 0
         assert out == "2 1\n3 2\n4 6\n5 19\n"
 
-    def test_uncached_warning_printed_once(self, capsys):
+    def test_uncached_dc_range_builds_one_table(self, capsys, table_builds):
         code, out, err = run(
-            capsys, "series", "--quantity", "dc", "--range", "2..6",
+            capsys, "series", "--quantity", "dc", "--range", "2..12",
         )
         assert code == 0
-        assert len(out.splitlines()) == 5
-        assert err.count("no cache configured") == 1
+        assert len(out.splitlines()) == 11
+        assert out.splitlines()[-1] == "12 162728"
+        assert err == ""
+        # The one fill extend_series(DnSeries(), 12) makes; dd uses no
+        # PartitionTable.
+        assert table_builds == [TableParams(12 * 11 // 2 - 12, 9, 11)]
 
     def test_series_updates_cache(self, capsys, tmp_path):
         cache = tmp_path / "d.txt"
@@ -151,7 +177,7 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "PASS d " in out
-        names = [*QUANTITIES, "d_improved", "dc_indirect", "d2_minus_b",
+        names = [*QUANTITIES, "d_basic", "dc_direct", "d2_minus_b",
                  "profile_g", "by_largest"]
         passed = [line.split()[1] for line in out.splitlines()
                   if line.startswith("PASS ")]
@@ -231,18 +257,18 @@ class TestCacheFlow:
             capsys, "series", "--quantity", "d", "--range", "2..8",
             "--cache", str(cache),
         )
-        code, improved_out, _ = run(
+        code, cached_out, _ = run(
             capsys, "count", "--quantity", "d", "--n", "9",
             "--cache", str(cache), "--format", "bfile",
         )
         assert code == 0
-        # without a cache, d comes from the basic route
-        code, basic_out, _ = run(
+        # A cache decides only where the series lives, not the route.
+        code, uncached_out, _ = run(
             capsys, "count", "--quantity", "d", "--n", "9",
             "--format", "bfile",
         )
         assert code == 0
-        assert improved_out == basic_out
+        assert cached_out == uncached_out == f"9 {count_d_basic(9)}\n"
 
     def test_env_var_sets_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.txt"
@@ -314,4 +340,4 @@ class TestCacheFlow:
             "--cache", str(cache),
         )
         assert code == 1
-        assert err
+        assert f"series file {cache}: must cover" in err

@@ -78,12 +78,9 @@ class TestConnectedSide:
         for n in range(2, 13):
             assert count_dc_direct(n) + count_dd(n) == series_12[n]
 
-    def test_report_carries_method(self, series_12):
-        direct = connectivity_report(5, method="direct")
-        indirect = connectivity_report(5, series_12[5], method="indirect")
-        assert direct.method == "direct"
-        assert indirect.method == "indirect"
-        assert (direct.dc, direct.dd) == (indirect.dc, indirect.dd) == (19, 1)
+    def test_report_splits_d(self, series_12):
+        rep = connectivity_report(5, series_12[5])
+        assert (rep.dc, rep.dd) == (19, 1) == (count_dc_direct(5), count_dd(5))
 
 
 class TestSubmaximalAndHighLow:

@@ -373,14 +373,18 @@ class TestLayerView:
 
 
 class TestBoundedTable:
-    def test_matches_full_table_at_max_slack(self):
-        full = PartitionTable.build(TableParams(16, 6, 8))
-        bounded = BoundedPartitionTable.build(TableParams(16, 6, 8))
-        for N in range(17):
-            for k in range(7):
-                assert bounded.query_saturated(N, k, 8) == full.query_raw(
-                    N, k, 8, N
-                )
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPES)
+    @example(TableParams(16, 6, 8))
+    def test_matches_full_table_at_max_slack(self, params):
+        full = PartitionTable.build(params)
+        bounded = BoundedPartitionTable.build(params)
+        l = params.target_parts
+        for N in range(params.max_sum + 1):
+            for k in range(params.max_part + 1):
+                assert bounded.query_saturated(N, k, l) == full.query_raw(
+                    N, k, l, N
+                ), (params, N, k)
 
     def test_g_prime_on_low_sum_domain(self):
         # The bounded store only serves sums within twice the part
