@@ -10,8 +10,9 @@ so the zero-free count d(n) splits by degree sum alone:
 The dd sums live below 2(n - 1), which keeps every lookup on the
 saturated slack surface; a BoundedPartitionTable therefore answers them
 with cubic total work.  dc is served as d(n) - dd(n) from the exact
-d(n); count_dc_direct, the graphical matrix summed over the high range
-of sums, is the independent route it is checked against.
+d(n).  count_dc_direct, the graphical matrix summed over the sums from
+2(n - 1) up, is the independent route it is checked against; it and
+count_s read the matrix of n that degree_counts memoizes.
 
 The biconnectivity side counts, among zero-free graphical sequences:
 

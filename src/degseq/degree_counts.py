@@ -13,7 +13,7 @@ all zero-free sequences (even N from n to n(n-1)), family L restricts
 the largest degree to at most n - 2 (even N from n to n(n-2)), family H
 pins the largest degree at n - 1 (even N from 2(n-1) to n(n-1)).  The
 L profile is symmetric about n(n-1)/2 and the H profile about
-(n+2)(n-1)/2, which lets production runs compute only the lower halves.
+(n+2)(n-1)/2, so only the lower halves need computing.
 
 Every count comes from one graphical matrix per n (graphical_matrix):
 the number of zero-free graphical sequences with each even sum N and
@@ -27,7 +27,10 @@ not depend on the table's size, so one fill sized for the largest n
 serves every smaller one: extend_series reads l(i) from layer i - 1 as
 the fill passes it.  A DnSeries refuses any value that breaks bounds
 every true series meets, whether the value was computed or read from
-the OEIS-style b-file the series persists in between runs.
+the OEIS-style b-file the series persists in between runs.  Every
+other count reads the full-height matrix of n, which the process keeps
+for the last n read: the first count of an n builds it from one table,
+and later counts of that n allocate nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import MissingPriorError
 from .partition_table import PartitionTable, TableParams
 
 FAMILIES = ("G", "L", "H")
+_MATRIX: dict = {}  # n -> full-height graphical matrix, one n at a time
 
 
 def _even_range(lo: int, hi: int) -> range:
@@ -213,21 +217,26 @@ def graphical_matrix(
 ) -> dict:
     """The graphical counts g(N, k, n) that every quantity here sums.
 
-    Returns a mapping from each even N in [n, max_sum] to the row
+    Returns a mapping from each even N in [n, max_sum] to a new list
     [g(N, k, n) for k in degrees], the number of zero-free graphical
     sequences on n vertices with sum N and largest degree exactly k.
     They are read from ``table``, which must hold layer n - 1 and cover
-    _matrix_params(n, max_sum, degrees); without one, a table of
-    exactly that size is built.
+    _matrix_params(n, max_sum, degrees), else sliced from the memoized
+    full-height matrix of n, whose build alone checks ``memory_cap``.
     """
-    if table is None:
-        table = PartitionTable.build(
-            _matrix_params(n, max_sum, degrees), memory_cap=memory_cap
-        )
-    return {
-        N: [table.g_prime(N, k, n) for k in degrees]
-        for N in _even_range(n, max_sum)
-    }
+    if table is not None:
+        return {
+            N: [table.g_prime(N, k, n) for k in degrees]
+            for N in _even_range(n, max_sum)
+        }
+    if n not in _MATRIX:
+        top, every = n * (n - 1), range(1, n)
+        params = _matrix_params(n, top, every)
+        table = PartitionTable.build(params, memory_cap=memory_cap)
+        _MATRIX.clear()
+        _MATRIX[n] = graphical_matrix(n, top, every, table=table)
+    lo, hi = degrees.start - 1, degrees.stop - 1
+    return {N: _MATRIX[n][N][lo:hi] for N in _even_range(n, max_sum)}
 
 
 def count_d_basic(n: int, *, memory_cap: int | None = None) -> int:
@@ -253,8 +262,8 @@ def count_d_improved(
 
     Only l(n) needs a table, and its mirrored profile only the lower
     half of the sums.  l(n) is read from ``table`` when given (a table
-    holding layer n - 1 and covering the cells count_l(n) reads), else
-    from a table built for it.  Needs exact d(2)..d(n-1) in ``prior``.
+    holding layer n - 1 and covering those sums), else from the
+    memoized matrix of n.  Needs exact d(2)..d(n-1) in ``prior``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -265,7 +274,7 @@ def count_d_improved(
             f"improved route to d({n}) needs d(1)..d({n - 1}), "
             f"series holds up to d({prior.n_max})"
         )
-    l_n = _profile(n, "L", True, table, memory_cap).total()
+    l_n = profile(n, "L", table=table, memory_cap=memory_cap).total()
     return l_n + count_h(n, prior)
 
 
@@ -299,25 +308,6 @@ def count_l(n: int, *, memory_cap: int | None = None) -> int:
     return profile(n, "L", memory_cap=memory_cap).total()
 
 
-def profile(
-    n: int,
-    family: str,
-    *,
-    mirror: bool = True,
-    memory_cap: int | None = None,
-) -> SumProfile:
-    """Per-degree-sum counts for family "G", "L", or "H".
-
-    Each entry is a row sum of the graphical matrix over the family's
-    largest degrees.  With ``mirror`` (the default) the L and H families
-    read only the lower half of their range and fill the upper half
-    from their exact symmetry; ``mirror=False`` reads every entry, which
-    needs a larger table and exists so the symmetry can be validated
-    rather than assumed.
-    """
-    return _profile(n, family, mirror, None, memory_cap)
-
-
 def _family_layout(n: int, family: str, mirror: bool) -> tuple:
     """(lo, hi, center, top, degrees) of a family's profile: its sums
     run over the even N in [lo, hi], mirror about center / 2 (None for
@@ -335,14 +325,23 @@ def _family_layout(n: int, family: str, mirror: bool) -> tuple:
     return lo, hi, center, top, degrees
 
 
-def _profile(
+def profile(
     n: int,
     family: str,
-    mirror: bool,
-    table: PartitionTable | None,
-    memory_cap: int | None,
+    *,
+    mirror: bool = True,
+    table: PartitionTable | None = None,
+    memory_cap: int | None = None,
 ) -> SumProfile:
-    """profile(), reading the matrix from ``table`` when one is given."""
+    """Per-degree-sum counts for family "G", "L", or "H".
+
+    Each entry is a row sum of the graphical matrix over the family's
+    largest degrees, read from ``table`` as graphical_matrix reads it.
+    With ``mirror`` (the default) the L and H families read only the
+    lower half of their range and fill the upper half from their exact
+    symmetry; ``mirror=False`` reads every entry, so the symmetry can
+    be validated rather than assumed.
+    """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     if n < 2:
@@ -374,12 +373,12 @@ def extend_series(
 ) -> DnSeries:
     """Grow ``series`` in place with the improved route until it holds d(n).
 
-    One table, the one count_l(n) builds, is filled once.  Its cells do
-    not depend on the table's size, so as the fill completes layer
-    l = i - 1 that layer answers every l(i) query that a table built for
-    i would: for each missing i, count_d_improved reads l(i) from a
-    read-only view of the layer, valid only while the visitor runs,
-    and d(i) is appended at once.  A pass
+    One table, covering the lower half of the L profile of n, is filled
+    once.  Its cells do not depend on the table's size, so as the fill
+    completes layer l = i - 1 that layer answers every l(i) query that a
+    table built for i would: for each missing i, count_d_improved reads
+    l(i) from a read-only view of the layer, valid only while the
+    visitor runs, and d(i) is appended at once.  A pass
     that stops early (an interrupt, an error) keeps every d(i) appended
     before it stopped.  The memory cap is checked for that one table
     before any value is computed, so a refusal leaves ``series`` as it

@@ -2,12 +2,28 @@
 
 import pytest
 
+from degseq import degree_counts
 from degseq.partition_table import PartitionTable
 
 
 @pytest.fixture
-def table_builds(monkeypatch):
-    """The TableParams of every PartitionTable.build during the test."""
+def empty_memo():
+    """Empties the graphical-matrix memo; call the result to empty it again.
+
+    Tests that count table builds or time fills start from it, so what
+    they see does not depend on which n an earlier test left there.
+    This is the one place outside degree_counts that knows how the memo
+    is stored.
+    """
+    clear = degree_counts._MATRIX.clear
+    clear()
+    return clear
+
+
+@pytest.fixture
+def table_builds(monkeypatch, empty_memo):
+    """The TableParams of every PartitionTable.build during the test,
+    which starts with an empty graphical-matrix memo."""
     build = PartitionTable.build.__func__
     built = []
 

@@ -4,7 +4,7 @@ import pytest
 
 from degseq import degree_counts
 from degseq.cli import QUANTITIES, main
-from degseq.degree_counts import count_d_basic
+from degseq.degree_counts import _matrix_params, count_d_basic
 from degseq.partition_table import TableParams
 
 
@@ -182,6 +182,16 @@ class TestVerify:
         passed = [line.split()[1] for line in out.splitlines()
                   if line.startswith("PASS ")]
         assert passed == names
+
+    def test_one_table_build_per_n(self, capsys, table_builds):
+        code, out, _ = run(capsys, "verify", "--max-n", "8")
+        assert code == 0
+        assert "verification passed for n = 2..8" in out
+        # The d series fill to n = 8, then one full-height matrix per n
+        # that every table-backed route of that n reads.
+        assert table_builds == [TableParams(8 * 7 // 2 - 8, 5, 7)] + [
+            _matrix_params(n, n * (n - 1), range(1, n)) for n in range(2, 9)
+        ]
 
     def test_wrong_count_is_a_mismatch(self, capsys, monkeypatch):
         import degseq.cli

@@ -2,9 +2,16 @@
 
 import pytest
 
-from degseq.connectivity_counts import count_dd, count_s
+from degseq.connectivity_counts import (
+    count_db,
+    count_dc_direct,
+    count_dd,
+    count_s,
+)
 from degseq.degree_counts import (
+    FAMILIES,
     DnSeries,
+    _matrix_params,
     count_by_largest,
     count_d0,
     count_d_basic,
@@ -18,7 +25,12 @@ from degseq.degree_counts import (
     write_series_file,
 )
 from degseq.errors import MemoryBudgetError, MissingPriorError
-from degseq.partition_table import TableParams, estimate_table_bytes
+from degseq.oracle import oracle_counts
+from degseq.partition_table import (
+    PartitionTable,
+    TableParams,
+    estimate_table_bytes,
+)
 
 # Zero-free counts d(2)..d(8), cross-checked against the brute-force
 # oracle before being frozen here.
@@ -172,8 +184,10 @@ class TestGraphicalMatrix:
             assert dc + count_dd(n) == d
             if n >= 3:
                 assert cols[n - 3] == count_s(n)
-            # The smaller matrices the H, L and s counts ask for, as
-            # (largest sum, largest degrees), serve the same cells.
+            # The smaller matrices the H, L and s counts read, as
+            # (largest sum, largest degrees), hold the same cells whether
+            # sliced from the memo or read from the smallest table that
+            # serves them, which is how the d series fill is sized.
             families = [
                 (n * (n - 1), range(n - 1, n)),
                 ((n + 2) * (n - 1) // 2, range(n - 1, n)),
@@ -185,10 +199,74 @@ class TestGraphicalMatrix:
                     (n * (n - 2), range(n - 2, n - 1)),
                 ]
             for top, degrees in families:
-                rows = graphical_matrix(n, top, degrees)
-                assert list(rows) == [N for N in full if N <= top]
-                for N, row in rows.items():
-                    assert row == full[N][degrees.start - 1 : degrees.stop - 1]
+                table = PartitionTable.build(_matrix_params(n, top, degrees))
+                cols = slice(degrees.start - 1, degrees.stop - 1)
+                for rows in (
+                    graphical_matrix(n, top, degrees),
+                    graphical_matrix(n, top, degrees, table=table),
+                ):
+                    assert list(rows) == [N for N in full if N <= top]
+                    for N, row in rows.items():
+                        assert row == full[N][cols]
+
+
+def _full_params(n):
+    return _matrix_params(n, n * (n - 1), range(1, n))
+
+
+class TestMatrixMemo:
+    def test_one_build_serves_every_table_counter(self, table_builds):
+        n = 9
+        want = oracle_counts(n)
+        series = DnSeries([0, *(KNOWN_D[i] for i in range(2, n - 1))])
+        biconn = count_db(n, series, want.d)
+        got = {
+            "s": count_s(n),
+            "c": biconn.c,
+            "d2": biconn.d2,
+            "db": biconn.db,
+            "l": count_l(n),
+            "d": count_d_basic(n),
+            "dc": count_dc_direct(n),
+            "by_largest": count_by_largest(n),
+        }
+        assert got == {name: getattr(want, name) for name in got}
+        for family, total in {"G": want.d, "L": want.l, "H": want.h}.items():
+            for mirror in (True, False):
+                assert profile(n, family, mirror=mirror).total() == total
+        assert profile(n, "G").entries == want.profile_g.entries
+        assert table_builds == [_full_params(n)]
+
+    def test_memo_holds_one_n(self, table_builds):
+        for n in (7, 8, 8, 7):
+            count_l(n)
+            count_s(n)
+        assert table_builds == [_full_params(n) for n in (7, 8, 7)]
+
+    def test_answers_are_copies(self, table_builds):
+        n = 8
+        want = graphical_matrix(
+            n, n * (n - 1), range(1, n),
+            table=PartitionTable.build(_full_params(n)),
+        )
+        for row in graphical_matrix(n, n * (n - 1), range(1, n)).values():
+            row[:] = [-1] * len(row)
+        for family in FAMILIES:
+            entries = profile(n, family).entries
+            for N in entries:
+                entries[N] = -1
+        assert graphical_matrix(n, n * (n - 1), range(1, n)) == want
+        assert profile(n, "G").total() == count_d_basic(n) == KNOWN_D[n]
+        assert table_builds == [_full_params(n)] * 2
+
+    def test_hit_needs_no_memory(self, table_builds):
+        l10 = count_l(10)
+        assert count_l(10, memory_cap=1) == l10
+        with pytest.raises(MemoryBudgetError):
+            count_s(11, memory_cap=1)
+        # The refused build leaves the memo as it was.
+        assert profile(10, "L", memory_cap=1).total() == l10
+        assert table_builds == [_full_params(10), _full_params(11)]
 
 
 class TestDnSeries:
@@ -213,7 +291,7 @@ class TestDnSeries:
 class TestExtendSeries:
     def test_one_table_build(self, table_builds):
         series = extend_series(DnSeries(), 14)
-        # The table count_l(14) builds: the lower half of the L profile.
+        # One table, covering the lower half of the L profile of 14.
         assert table_builds == [TableParams(14 * 13 // 2 - 14, 11, 13)]
         assert [series[n] for n in KNOWN_D] == list(KNOWN_D.values())
 
