@@ -97,6 +97,17 @@ def _parse_range(text: str) -> range:
     return range(a, b + 1)
 
 
+def _positive_int(text: str) -> int:
+    """The value of an integer argument that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 class _SeriesStore:
     """The d series: loaded once, extended on demand, saved if dirty.
 
@@ -311,7 +322,7 @@ def _build_parser() -> _Parser:
         p.set_defaults(handler=handler)
         p.add_argument(
             "--memory-cap",
-            type=int,
+            type=_positive_int,
             metavar="BYTES",
             help="refuse table builds estimated above this many bytes",
         )

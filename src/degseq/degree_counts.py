@@ -22,15 +22,18 @@ whole matrix, the G profile its row sums, the split by largest degree
 its column sums, and the L and H profiles row sums over the columns
 k <= n - 2 and k = n - 1.  The series d(1), d(2), ... is built with
 d(n) = l(n) + d0(n-1), which needs only the lower half of the L profile
-and the exact earlier values, supplied as a DnSeries.  Table cells do
-not depend on the table's size, so one fill sized for the largest n
-serves every smaller one: extend_series reads l(i) from layer i - 1 as
-the fill passes it.  A DnSeries refuses any value that breaks bounds
-every true series meets, whether the value was computed or read from
-the OEIS-style b-file the series persists in between runs.  Every
-other count reads the full-height matrix of n, which the process keeps
-for the last n read: the first count of an n builds it from one table,
-and later counts of that n allocate nothing.
+and the exact earlier values, supplied as a DnSeries.  A DnSeries
+refuses any value that breaks bounds every true series meets, whether
+the value was computed or read from the OEIS-style b-file the series
+persists in between runs.
+
+Every table is filled and read in _harvest.  Table cells do not depend
+on the table's size, so one fill sized for the largest n serves every
+smaller one: as layer n - 1 passes it becomes n's matrix, at full
+height or at the half height the mirrored L profile reads, and the
+process keeps it as its one memoized matrix.  extend_series reads each
+l(i) from a half-height harvest; any other count slices the memo when
+it covers the request, else harvests n alone at full height.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import MissingPriorError
 from .partition_table import PartitionTable, TableParams
 
 FAMILIES = ("G", "L", "H")
-_MATRIX: dict = {}  # n -> full-height graphical matrix, one n at a time
+_MATRIX: dict = {}  # n -> (largest sum, degrees, matrix), one n at a time
 
 
 def _even_range(lo: int, hi: int) -> range:
@@ -207,36 +210,58 @@ def _matrix_params(n: int, max_sum: int, degrees: range) -> TableParams:
     return TableParams(max(0, stored), max_part, target_parts=n - 1)
 
 
+def _harvest(ns: range, full: bool, visit, memory_cap: int | None) -> None:
+    """Fill one table and memoize each n's graphical matrix as it passes.
+
+    The table is sized for ns[-1]: full height covers sums up to n(n-1)
+    and largest degrees 1..n-1; half height, what the mirrored L profile
+    reads from a table about 4x smaller, sums up to n(n-1)/2 and degrees
+    1..n-2.  As the fill completes layer n - 1 for each n in ``ns``, it
+    stores n's matrix at that extent as the memo's one entry and calls
+    visit(n), which must not start another fill: the memo holds one n.
+    ``memory_cap`` is checked before any layer is filled, so a refusal
+    leaves the memo as it was.
+    """
+
+    def extent(n: int) -> tuple:
+        return n * (n - 1) // (2 - full), range(1, n - 1 + full)
+
+    params = _matrix_params(ns[-1], *extent(ns[-1]))
+
+    def harvest(l: int, slices: list) -> None:
+        n = l + 1
+        if n in ns:
+            view = PartitionTable(replace(params, target_parts=l), {l: slices})
+            top, degrees = extent(n)
+            rows = {
+                N: [view.g_prime(N, k, n) for k in degrees]
+                for N in _even_range(n, top)
+            }
+            _MATRIX.clear()
+            _MATRIX[n] = (top, degrees, rows)
+            visit(n)
+
+    PartitionTable.build(params, memory_cap=memory_cap, layer_visitor=harvest)
+
+
 def graphical_matrix(
-    n: int,
-    max_sum: int,
-    degrees: range,
-    *,
-    table: PartitionTable | None = None,
-    memory_cap: int | None = None,
+    n: int, max_sum: int, degrees: range, *, memory_cap: int | None = None
 ) -> dict:
     """The graphical counts g(N, k, n) that every quantity here sums.
 
     Returns a mapping from each even N in [n, max_sum] to a new list
     [g(N, k, n) for k in degrees], the number of zero-free graphical
     sequences on n vertices with sum N and largest degree exactly k.
-    They are read from ``table``, which must hold layer n - 1 and cover
-    _matrix_params(n, max_sum, degrees), else sliced from the memoized
-    full-height matrix of n, whose build alone checks ``memory_cap``.
+    They are sliced from the memoized matrix of n when its extent
+    covers the request, else from a full-height harvest of n, whose
+    build alone checks ``memory_cap``.
     """
-    if table is not None:
-        return {
-            N: [table.g_prime(N, k, n) for k in degrees]
-            for N in _even_range(n, max_sum)
-        }
-    if n not in _MATRIX:
-        top, every = n * (n - 1), range(1, n)
-        params = _matrix_params(n, top, every)
-        table = PartitionTable.build(params, memory_cap=memory_cap)
-        _MATRIX.clear()
-        _MATRIX[n] = graphical_matrix(n, top, every, table=table)
+    entry = _MATRIX.get(n)
+    if entry is None or max_sum > entry[0] or degrees.stop > entry[1].stop:
+        _harvest(range(n, n + 1), True, lambda i: None, memory_cap)
+    rows = _MATRIX[n][2]
     lo, hi = degrees.start - 1, degrees.stop - 1
-    return {N: _MATRIX[n][N][lo:hi] for N in _even_range(n, max_sum)}
+    return {N: rows[N][lo:hi] for N in _even_range(n, max_sum)}
 
 
 def count_d_basic(n: int, *, memory_cap: int | None = None) -> int:
@@ -252,18 +277,13 @@ def count_d_basic(n: int, *, memory_cap: int | None = None) -> int:
 
 
 def count_d_improved(
-    n: int,
-    prior: DnSeries,
-    *,
-    table: PartitionTable | None = None,
-    memory_cap: int | None = None,
+    n: int, prior: DnSeries, *, memory_cap: int | None = None
 ) -> int:
     """d(n) = l(n) + h(n), with h(n) = d0(n-1) read from ``prior``.
 
     Only l(n) needs a table, and its mirrored profile only the lower
-    half of the sums.  l(n) is read from ``table`` when given (a table
-    holding layer n - 1 and covering those sums), else from the
-    memoized matrix of n.  Needs exact d(2)..d(n-1) in ``prior``.
+    half of the sums, which is all the half-height matrix a d series
+    fill memoizes for n holds.  Needs exact d(2)..d(n-1) in ``prior``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -274,7 +294,7 @@ def count_d_improved(
             f"improved route to d({n}) needs d(1)..d({n - 1}), "
             f"series holds up to d({prior.n_max})"
         )
-    l_n = profile(n, "L", table=table, memory_cap=memory_cap).total()
+    l_n = profile(n, "L", memory_cap=memory_cap).total()
     return l_n + count_h(n, prior)
 
 
@@ -308,50 +328,31 @@ def count_l(n: int, *, memory_cap: int | None = None) -> int:
     return profile(n, "L", memory_cap=memory_cap).total()
 
 
-def _family_layout(n: int, family: str, mirror: bool) -> tuple:
-    """(lo, hi, center, top, degrees) of a family's profile: its sums
-    run over the even N in [lo, hi], mirror about center / 2 (None for
-    G), and are read from the graphical matrix up to sum top over the
-    largest degrees in ``degrees``."""
-    if family == "G":
-        lo, hi, center, degrees = n, n * (n - 1), None, range(1, n)
-    elif family == "L":
-        lo, hi = n, n * (n - 2)
-        center, degrees = n * (n - 1), range(1, n - 1)
-    else:
-        lo, hi = 2 * (n - 1), n * (n - 1)
-        center, degrees = (n + 2) * (n - 1), range(n - 1, n)
-    top = center // 2 if mirror and family != "G" else hi
-    return lo, hi, center, top, degrees
-
-
 def profile(
-    n: int,
-    family: str,
-    *,
-    mirror: bool = True,
-    table: PartitionTable | None = None,
-    memory_cap: int | None = None,
+    n: int, family: str, *, mirror: bool = True, memory_cap: int | None = None
 ) -> SumProfile:
     """Per-degree-sum counts for family "G", "L", or "H".
 
     Each entry is a row sum of the graphical matrix over the family's
-    largest degrees, read from ``table`` as graphical_matrix reads it.
-    With ``mirror`` (the default) the L and H families read only the
-    lower half of their range and fill the upper half from their exact
-    symmetry; ``mirror=False`` reads every entry, so the symmetry can
-    be validated rather than assumed.
+    largest degrees.  With ``mirror`` (the default) the L and H families
+    read only the lower half of their range and fill the upper half
+    from their exact symmetry about center / 2; ``mirror=False`` reads
+    every entry, so the symmetry can be validated rather than assumed.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     if n < 2:
         raise ValueError("need n >= 2")
-    lo, hi, center, top, degrees = _family_layout(n, family, mirror)
+    # Even sums N in [lo, hi], mirrored about center / 2 (G: never).
+    lo, hi, center, degrees = {
+        "G": (n, n * (n - 1), None, range(1, n)),
+        "L": (n, n * (n - 2), n * (n - 1), range(1, n - 1)),
+        "H": (2 * (n - 1), n * (n - 1), (n + 2) * (n - 1), range(n - 1, n)),
+    }[family]
+    top = center // 2 if mirror and center is not None else hi
     if hi < lo:
         return SumProfile(n=n, family=family, entries={})
-    rows = graphical_matrix(
-        n, top, degrees, table=table, memory_cap=memory_cap
-    )
+    rows = graphical_matrix(n, top, degrees, memory_cap=memory_cap)
     entries = {N: sum(row) for N, row in rows.items() if N >= lo}
     for N in _even_range(top + 1, hi):
         entries[N] = entries[center - N]
@@ -373,27 +374,16 @@ def extend_series(
 ) -> DnSeries:
     """Grow ``series`` in place with the improved route until it holds d(n).
 
-    One table, covering the lower half of the L profile of n, is filled
-    once.  Its cells do not depend on the table's size, so as the fill
-    completes layer l = i - 1 that layer answers every l(i) query that a
-    table built for i would: for each missing i, count_d_improved reads
-    l(i) from a read-only view of the layer, valid only while the
-    visitor runs, and d(i) is appended at once.  A pass
-    that stops early (an interrupt, an error) keeps every d(i) appended
-    before it stopped.  The memory cap is checked for that one table
-    before any value is computed, so a refusal leaves ``series`` as it
-    was.
+    One half-height harvest to n fills one table: as it memoizes each
+    missing i's matrix, count_d_improved reads l(i) from it and d(i) is
+    appended at once.  A pass that stops early (an interrupt, an error)
+    keeps every d(i) appended before it stopped.  The memory cap is
+    checked for that one table before any value is computed, so a
+    refusal leaves ``series`` as it was.  The memo is left holding the
+    half-height matrix of n.
     """
     if series.n_max >= n:
         return series
-    _, _, _, top, degrees = _family_layout(n, "L", True)
-    params = _matrix_params(n, top, degrees)
-
-    def harvest(l: int, slices: list) -> None:
-        i = l + 1
-        if i == series.n_max + 1:
-            view = PartitionTable(replace(params, target_parts=l), {l: slices})
-            series.append(count_d_improved(i, series, table=view))
-
-    PartitionTable.build(params, memory_cap=memory_cap, layer_visitor=harvest)
+    _harvest(range(series.n_max + 1, n + 1), False,
+             lambda i: series.append(count_d_improved(i, series)), memory_cap)
     return series

@@ -111,7 +111,6 @@ class PartitionTable:
 
     def __init__(self, params: TableParams, layers: dict):
         self.params = params
-        self.filled_l = params.target_parts
         self._layers = layers
         self._off = _row_offsets(params.max_sum)
 

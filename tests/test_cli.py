@@ -243,6 +243,15 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_memory_cap_must_be_positive(self, capsys, cap):
+        code, _, err = run(
+            capsys, "count", "--quantity", "d", "--n", "5",
+            "--memory-cap", cap,
+        )
+        assert code == 1
+        assert "--memory-cap" in err
+
 
 class TestCacheFlow:
     def test_explicit_cache_round_trip(self, capsys, tmp_path):

@@ -187,7 +187,8 @@ class TestGraphicalMatrix:
             # The smaller matrices the H, L and s counts read, as
             # (largest sum, largest degrees), hold the same cells whether
             # sliced from the memo or read from the smallest table that
-            # serves them, which is how the d series fill is sized.
+            # serves them, which is how the d series fill is sized.  The
+            # table is built and read here, independently of the memo.
             families = [
                 (n * (n - 1), range(n - 1, n)),
                 ((n + 2) * (n - 1) // 2, range(n - 1, n)),
@@ -203,11 +204,20 @@ class TestGraphicalMatrix:
                 cols = slice(degrees.start - 1, degrees.stop - 1)
                 for rows in (
                     graphical_matrix(n, top, degrees),
-                    graphical_matrix(n, top, degrees, table=table),
+                    _read_matrix(table, n, top, degrees),
                 ):
                     assert list(rows) == [N for N in full if N <= top]
                     for N, row in rows.items():
                         assert row == full[N][cols]
+
+
+def _read_matrix(table, n, top, degrees):
+    """graphical_matrix(n, top, degrees), read cell by cell from a table
+    holding layer n - 1."""
+    return {
+        N: [table.g_prime(N, k, n) for k in degrees]
+        for N in range(n + n % 2, top + 1, 2)
+    }
 
 
 def _full_params(n):
@@ -245,9 +255,8 @@ class TestMatrixMemo:
 
     def test_answers_are_copies(self, table_builds):
         n = 8
-        want = graphical_matrix(
-            n, n * (n - 1), range(1, n),
-            table=PartitionTable.build(_full_params(n)),
+        want = _read_matrix(
+            PartitionTable.build(_full_params(n)), n, n * (n - 1), range(1, n)
         )
         for row in graphical_matrix(n, n * (n - 1), range(1, n)).values():
             row[:] = [-1] * len(row)
@@ -267,6 +276,30 @@ class TestMatrixMemo:
         # The refused build leaves the memo as it was.
         assert profile(10, "L", memory_cap=1).total() == l10
         assert table_builds == [_full_params(10), _full_params(11)]
+
+    def test_series_fill_leaves_its_top_half_matrix(self, table_builds):
+        n = 12
+        extend_series(DnSeries(), n)
+        want = oracle_counts(n)
+        table_builds.clear()
+        # The half-height matrix of n serves l and the L profile ...
+        assert count_l(n) == profile(n, "L").total() == want.l
+        assert table_builds == []
+        # ... but not a full-height count, whose build the cap refuses
+        # without evicting the half-height matrix.
+        with pytest.raises(MemoryBudgetError):
+            count_s(n, memory_cap=1)
+        assert count_l(n, memory_cap=1) == want.l
+        assert table_builds == [_full_params(n)]
+        table_builds.clear()
+        got = {
+            "s": count_s(n),
+            "dc": count_dc_direct(n),
+            "by_largest": count_by_largest(n),
+            "h": profile(n, "H").total(),
+        }
+        assert got == {name: getattr(want, name) for name in got}
+        assert table_builds == [_full_params(n)]
 
 
 class TestDnSeries:
