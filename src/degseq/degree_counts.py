@@ -12,8 +12,10 @@ Degree-sum profiles split a family's count by the sum N: family G is
 all zero-free sequences (even N from n to n(n-1)), family L restricts
 the largest degree to at most n - 2 (even N from n to n(n-2)), family H
 pins the largest degree at n - 1 (even N from 2(n-1) to n(n-1)).  The
-L profile is symmetric about n(n-1)/2 and the H profile about
-(n+2)(n-1)/2, so only the lower halves need computing.
+L profile is symmetric about n(n-1)/2, so only its lower half needs
+computing.  The H profile is symmetric about (n+2)(n-1)/2 too, but its
+largest degree n - 1 lives only in the full-height matrix, which holds
+every sum, so it is read whole.
 
 Every count comes from one graphical matrix per n (graphical_matrix):
 the number of zero-free graphical sequences with each even sum N and
@@ -231,7 +233,7 @@ def _harvest(ns: range, full: bool, visit, memory_cap: int | None) -> None:
     def harvest(l: int, slices: list) -> None:
         n = l + 1
         if n in ns:
-            view = PartitionTable(replace(params, target_parts=l), {l: slices})
+            view = PartitionTable(replace(params, target_parts=l), slices)
             top, degrees = extent(n)
             rows = {
                 N: [view.g_prime(N, k, n) for k in degrees]
@@ -294,8 +296,7 @@ def count_d_improved(
             f"improved route to d({n}) needs d(1)..d({n - 1}), "
             f"series holds up to d({prior.n_max})"
         )
-    l_n = profile(n, "L", memory_cap=memory_cap).total()
-    return l_n + count_h(n, prior)
+    return count_l(n, memory_cap=memory_cap) + count_h(n, prior)
 
 
 def count_d0(n: int, prior: DnSeries) -> int:
@@ -334,20 +335,21 @@ def profile(
     """Per-degree-sum counts for family "G", "L", or "H".
 
     Each entry is a row sum of the graphical matrix over the family's
-    largest degrees.  With ``mirror`` (the default) the L and H families
-    read only the lower half of their range and fill the upper half
-    from their exact symmetry about center / 2; ``mirror=False`` reads
-    every entry, so the symmetry can be validated rather than assumed.
+    largest degrees.  With ``mirror`` (the default) the L family reads
+    only the lower half of its range and fills the upper half from its
+    exact symmetry about n(n-1)/2; ``mirror=False`` reads every entry,
+    so the symmetry can be validated rather than assumed.  G and H are
+    always read whole.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     if n < 2:
         raise ValueError("need n >= 2")
-    # Even sums N in [lo, hi], mirrored about center / 2 (G: never).
+    # Even sums N in [lo, hi], mirrored about center / 2 (L only).
     lo, hi, center, degrees = {
         "G": (n, n * (n - 1), None, range(1, n)),
         "L": (n, n * (n - 2), n * (n - 1), range(1, n - 1)),
-        "H": (2 * (n - 1), n * (n - 1), (n + 2) * (n - 1), range(n - 1, n)),
+        "H": (2 * (n - 1), n * (n - 1), None, range(n - 1, n)),
     }[family]
     top = center // 2 if mirror and center is not None else hi
     if hi < lo:

@@ -22,7 +22,7 @@ class MemoryBudgetError(DegseqError):
 
 
 class LayerNotResidentError(DegseqError):
-    """A query asked for a layer that the rolling fill no longer holds."""
+    """A query asked for a layer that the table does not hold."""
 
 
 class MissingPriorError(DegseqError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .degree_counts import SumProfile, _even_range
 from .errors import OracleCapError
@@ -131,27 +131,6 @@ def is_graphical_nw(seq) -> bool:
         if run < j:
             return False
     return True
-
-
-class Classification(NamedTuple):
-    connected_potential: bool
-    biconnected_potential: bool
-
-
-def classify(seq) -> Classification:
-    """Connectivity potential of a graphical sequence, by closed form.
-
-    Some realization is connected iff the sum reaches 2(n - 1); some
-    realization is biconnected iff additionally every degree is at
-    least 2 and the sum reaches 2n - 4 + 2 * largest.
-    """
-    n = len(seq)
-    total = sum(seq)
-    return Classification(
-        connected_potential=total >= 2 * (n - 1),
-        biconnected_potential=seq[-1] >= 2
-        and total >= 2 * n - 4 + 2 * seq[0],
-    )
 
 
 @dataclass

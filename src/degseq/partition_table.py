@@ -13,14 +13,15 @@ any negative argument gives 0; N = 0 gives 1; k = 0 or l = 0 (with
 N > 0) gives 0; k > N acts as k = N, l > N as l = N, s > N as s = N;
 N > k*l then gives 0 (no partition fits), wherever N lies.  The
 recurrence reproduces the clamped values inside the stored block, so a
-query may be answered from any resident layer whose clamped l agrees
-with the query's.
+table holding layer l = L answers every query whose clamped l is
+min(L, N).
 
-Two table flavours are provided:
+Two table flavours hold one layer each and answer through the same
+clamp chain; they differ only in how they fill it and read one cell:
 
-  * :class:`PartitionTable` holds the full (N, k, s) grid for two
-    consecutive l-layers (rolling fill), with the s axis ragged at
-    length N + 1.  This is the workhorse for degree-sequence counts.
+  * :class:`PartitionTable` stores the full (N, k, s) grid, with the s
+    axis ragged at length N + 1, filled by a rolling pass over two
+    layer buffers.  This is the workhorse for degree-sequence counts.
   * :class:`BoundedPartitionTable` stores only the s-saturated surface
     s >= N, which is all the disconnected-count path ever reads, and
     keeps the whole fill cubic in the vertex count.
@@ -94,24 +95,25 @@ def _row_offsets(max_sum: int) -> list:
 
 
 class PartitionTable:
-    """Rolling two-layer table of the four-parameter partition counts.
+    """One filled layer of the four-parameter partition counts.
 
     Build once, then query; instances are immutable after ``build``
-    returns and can be shared freely between readers.  Only the layers
-    l = target_parts and l = target_parts - 1 remain resident; queries
-    whose clamped l matches neither raise LayerNotResidentError.
+    returns and can be shared freely between readers.  The table holds
+    the layer l = target_parts only, so a query is answered when its
+    clamped l equals min(target_parts, N) and raises
+    LayerNotResidentError otherwise.
 
-    The constructor wraps layers already filled: ``layers`` maps each
-    resident l to its list of per-k slices, packed as ``build`` packs
-    them for ``params.max_sum`` and ``params.max_part``.  Wrapping the
-    live layer a ``layer_visitor`` receives gives a read-only view of
-    it, valid only until the visitor returns, because the fill then
-    overwrites those buffers.
+    The constructor wraps a layer already filled: ``slices`` is its list
+    of per-k slices, packed as ``build`` packs them for
+    ``params.max_sum`` and ``params.max_part``.  Wrapping the live layer
+    a ``layer_visitor`` receives gives a read-only view of it, valid only
+    until the visitor returns, because the fill then overwrites those
+    buffers.
     """
 
-    def __init__(self, params: TableParams, layers: dict):
+    def __init__(self, params: TableParams, slices: list):
         self.params = params
-        self._layers = layers
+        self._slices = slices
         self._off = _row_offsets(params.max_sum)
 
     @classmethod
@@ -122,7 +124,7 @@ class PartitionTable:
         memory_cap: int | None = None,
         layer_visitor: Callable[[int, list], None] | None = None,
     ) -> "PartitionTable":
-        """Fill layers l = 0..target_parts and return the finished table.
+        """Fill layers l = 0..target_parts and return the last one.
 
         Args:
             params: table dimensions.
@@ -155,19 +157,13 @@ class PartitionTable:
         # and is never written, so one array backs it everywhere.
         shared0 = fresh_slice()
         prev = [shared0] + [fresh_slice() for _ in range(K)]
-        if target == 0:
-            return cls(params, {0: prev})
         cur = [shared0] + [np.zeros(tri, dtype=object) for _ in range(K)]
         for l in range(1, target + 1):
             fill_layer(cur, prev, l, off, M, K)
             if layer_visitor is not None:
                 layer_visitor(l, cur)
             prev, cur = cur, prev
-        return cls(params, {target: prev, target - 1: cur})
-
-    @property
-    def resident_layers(self) -> tuple:
-        return tuple(sorted(self._layers))
+        return cls(params, prev)
 
     def query_raw(self, N: int, k: int, l: int, s: int) -> int:
         """Return the cell value with the full clamp chain applied.
@@ -176,8 +172,7 @@ class PartitionTable:
 
         Raises:
             ValueError: the clamped (N, k) lies outside the stored block.
-            LayerNotResidentError: no resident layer can answer for the
-                clamped l.
+            LayerNotResidentError: the clamped l is not the held layer's.
         """
         if N < 0 or k < 0 or l < 0 or s < 0:
             return 0
@@ -199,17 +194,16 @@ class PartitionTable:
                 f"cell (N={N}, k={k}) is outside the stored block "
                 f"(max_sum={p.max_sum}, max_part={p.max_part})"
             )
-        slices = None
-        for lr in self._layers:
-            if min(lr, N) == l:
-                slices = self._layers[lr]
-                break
-        if slices is None:
+        if min(p.target_parts, N) != l:
             raise LayerNotResidentError(
-                f"layer l={l} is not servable from resident layers "
-                f"{self.resident_layers}"
+                f"layer l={l} is not servable from the held layer "
+                f"{p.target_parts}"
             )
-        return slices[k][self._off[N] + s]
+        return self._cell(N, k, s)
+
+    def _cell(self, N: int, k: int, s: int) -> int:
+        """The stored value at clamped (N, k, s) of the held layer."""
+        return self._slices[k][self._off[N] + s]
 
     def g_prime(self, N: int, k: int, l: int) -> int:
         """Count graphical partitions of N with exactly l parts, largest k.
@@ -230,7 +224,7 @@ class PartitionTable:
         return self.query_raw(N - k - l + 1, k - 1, l - 1, l - k - 1)
 
 
-class BoundedPartitionTable:
+class BoundedPartitionTable(PartitionTable):
     """The s-saturated surface of the partition counts, s >= N everywhere.
 
     For slack at least the sum, the prefix test can only bind through
@@ -238,13 +232,10 @@ class BoundedPartitionTable:
     shifted lookup moves the slack-minus-sum gap by 2(l - 1) >= 0, so
     saturated cells are computed entirely from saturated cells.  Storage
     and fill are (max_part + 1) x (max_sum + 1) per layer with only the
-    final layer retained.
+    final layer retained.  Queries pass through the same clamp chain and
+    residency rule as the full table; a clamped slack below the sum is
+    refused.
     """
-
-    def __init__(self, params: TableParams, grid):
-        self.params = params
-        self.filled_l = params.target_parts
-        self._grid = grid
 
     @classmethod
     def build(cls, params: TableParams) -> "BoundedPartitionTable":
@@ -269,34 +260,13 @@ class BoundedPartitionTable:
             prev = cur
         return cls(params, prev)
 
-    def query_saturated(self, N: int, k: int, l: int) -> int:
-        """Return the cell value at slack s >= N (the saturated value).
-
-        Only l values whose clamp agrees with the filled layer are
-        servable, mirroring the full table's residency rule.
-        """
-        if N < 0 or k < 0 or l < 0:
-            return 0
-        if N == 0:
-            return 1
-        if k == 0 or l == 0:
-            return 0
-        if k > N:
-            k = N
-        if l > N:
-            l = N
-        p = self.params
-        if N > p.max_sum or k > p.max_part:
+    def _cell(self, N: int, k: int, s: int) -> int:
+        if s < N:
             raise ValueError(
-                f"cell (N={N}, k={k}) is outside the stored block "
-                f"(max_sum={p.max_sum}, max_part={p.max_part})"
+                f"slack {s} is below the sum {N}: only the saturated "
+                f"surface s >= N is stored"
             )
-        if min(self.filled_l, N) != l:
-            raise LayerNotResidentError(
-                f"layer l={l} is not servable from the filled layer "
-                f"{self.filled_l}"
-            )
-        return self._grid[k][N]
+        return self._slices[k][N]
 
     def g_prime(self, N: int, k: int, l: int) -> int:
         """Graphical-partition count, valid only where the slack saturates.
@@ -307,16 +277,12 @@ class BoundedPartitionTable:
         Raises:
             ValueError: N negative, odd, or above 2(l - 1).
         """
-        if N < 0:
-            raise ValueError("graphical count needs N >= 0")
-        if N % 2:
-            raise ValueError("graphical count needs an even N")
         if N > 2 * (l - 1):
             raise ValueError(
                 f"sum {N} exceeds the saturated range of this table "
                 f"(at most {2 * (l - 1)} for l={l})"
             )
-        return self.query_saturated(N - k - l + 1, k - 1, l - 1)
+        return super().g_prime(N, k, l)
 
 
 _P_CACHE = [1]

@@ -5,7 +5,6 @@ import pytest
 from degseq.degree_counts import DnSeries, extend_series
 from degseq.errors import OracleCapError
 from degseq.oracle import (
-    classify,
     enumerate_even_bounded,
     is_graphical_eg,
     is_graphical_nw,
@@ -86,13 +85,6 @@ class TestGraphicalityCriteria:
         for n in range(2, 9):
             for seq in enumerate_even_bounded(n):
                 assert is_graphical_eg(seq) == is_graphical_nw(seq), seq
-
-
-class TestClassify:
-    def test_examples(self):
-        assert classify((1, 1, 1, 1)) == (False, False)
-        assert classify((2, 2, 2, 2)) == (True, True)
-        assert classify((4, 2, 2, 2, 2)) == (True, False)
 
 
 class TestOracleCounts:

@@ -90,12 +90,12 @@ def fill_layer_reference(cur, prev, l, off, max_sum, max_part):
                 )
 
 
-def reference_layers(params):
+def reference_layer(params):
     """Run the reference fill on two rolling buffers.
 
-    Returns ({l: layer} for the resident final layers, row offsets), in
-    the packed layout of PartitionTable: one flat list per k, row N at
-    off[N] holding s = 0..N.
+    Returns (the final layer, row offsets), in the packed layout of
+    PartitionTable: one flat list per k, row N at off[N] holding
+    s = 0..N.
     """
     M, K, target = params.max_sum, params.max_part, params.target_parts
     off = [0] * (M + 2)
@@ -108,26 +108,24 @@ def reference_layers(params):
         return cells
 
     prev = [fresh() for _ in range(K + 1)]
-    if target == 0:
-        return {0: prev}, off
     cur = [prev[0]] + [fresh() for _ in range(K)]
     for l in range(1, target + 1):
         fill_layer_reference(cur, prev, l, off, M, K)
         prev, cur = cur, prev
-    return {target: prev, target - 1: cur}, off
+    return prev, off
 
 
 def assert_fill_matches_reference(params):
-    """Every stored cell of both resident layers equals the reference."""
+    """Every stored cell of the held layer equals the reference."""
     table = PartitionTable.build(params)
-    layers, off = reference_layers(params)
-    for l, ref in layers.items():
-        for N in range(params.max_sum + 1):
-            for k in range(params.max_part + 1):
-                for s in range(N + 1):
-                    assert table.query_raw(N, k, l, s) == ref[k][off[N] + s], (
-                        params, N, k, l, s
-                    )
+    ref, off = reference_layer(params)
+    l = params.target_parts
+    for N in range(params.max_sum + 1):
+        for k in range(params.max_part + 1):
+            for s in range(N + 1):
+                assert table.query_raw(N, k, l, s) == ref[k][off[N] + s], (
+                    params, N, k, s
+                )
 
 
 # Random table shapes for the fill tests.
@@ -251,6 +249,12 @@ class TestClampChain:
         with pytest.raises(LayerNotResidentError):
             table_6.query_raw(8, 3, 3, 0)
 
+    def test_only_the_target_layer_is_held(self, table_6):
+        # N = 12 > 6, so l = 6 and l = 5 are both unclamped.
+        assert table_6.query_raw(12, 6, 6, 12) == brute_count(12, 6, 6, 12)
+        with pytest.raises(LayerNotResidentError):
+            table_6.query_raw(12, 6, 5, 12)
+
     def test_capacity_exceeded_raises(self, table_6):
         with pytest.raises(ValueError):
             table_6.query_raw(13, 3, 6, 0)
@@ -355,7 +359,7 @@ class TestLayerView:
 
         def visit(l, slices):
             view = PartitionTable(
-                TableParams(params.max_sum, params.max_part, l), {l: slices}
+                TableParams(params.max_sum, params.max_part, l), slices
             )
             built = PartitionTable.build(
                 TableParams(params.max_sum, params.max_part, l)
@@ -382,7 +386,7 @@ class TestBoundedTable:
         l = params.target_parts
         for N in range(params.max_sum + 1):
             for k in range(params.max_part + 1):
-                assert bounded.query_saturated(N, k, l) == full.query_raw(
+                assert bounded.query_raw(N, k, l, N) == full.query_raw(
                     N, k, l, N
                 ), (params, N, k)
 
@@ -396,6 +400,12 @@ class TestBoundedTable:
                     continue
                 want = brute_exact(N, k, 8, N)
                 assert bounded.g_prime(N, k, 8) == want
+
+    def test_query_refuses_unsaturated_slack(self):
+        bounded = BoundedPartitionTable.build(TableParams(12, 5, 8))
+        assert bounded.query_raw(6, 3, 8, 6) == brute_count(6, 3, 8, 6)
+        with pytest.raises(ValueError):
+            bounded.query_raw(6, 3, 8, 5)
 
     def test_g_prime_rejects_high_sum(self):
         bounded = BoundedPartitionTable.build(TableParams(30, 5, 8))
