@@ -16,15 +16,17 @@ them, `--cache` count, series and ratio, `--oracle-cap` verify, and
 `--format` count, profile and ratio.
 
 Each quantity is served by one route, looked up in the QUANTITIES
-table.  d is read from the d series, extended with
-d(n) = l(n) + d0(n-1) as needed, and dc is d - dd.  A d series cache
-(`--cache` or the DEGSEQ_CACHE environment variable), a b-file of exact
-d(n) values, only decides whether the series persists between runs;
-without one it lives in memory for the request.  The first time a
-request needs the series beyond what it holds, the series is extended
-in one pass to the furthest value the request reads; the cache is saved
-on the way out, whether the request succeeded or not, so an interrupted
-run keeps every value computed.
+table, whose lag says how far the route reads the d series.  d is read
+from the d series and dc is d - dd.  count, ratio and verify get the
+series once, before any route runs: read from a d series cache
+(`--cache` or the DEGSEQ_CACHE environment variable, a b-file of exact
+d(n) values) if there is one, and extended in one fill, with
+d(n) = l(n) + d0(n-1), to the furthest value the request reads.  The
+cache only decides whether the series persists between runs; without
+one it lives in memory for the request.  The cache is written back
+only when the request extended the series, also when that fill fails
+or is interrupted, so an interrupted run keeps every value computed.
+A route that reads no series (l, dd, s) does not open the cache.
 
 Exit codes: 0 success; 1 bad arguments (including oracle-cap
 violations and a cache that fails its checks on reading); 2 memory
@@ -108,90 +110,65 @@ def _positive_int(text: str) -> int:
     return value
 
 
-class _SeriesStore:
-    """The d series: loaded once, extended on demand, saved if dirty.
+def _series(path: str | None, top: int, memory_cap) -> DnSeries:
+    """The d series through d(top): the cache at ``path`` if it exists,
+    extended in one fill if it falls short.
 
-    ``top`` is the furthest d(n) the request reads.  The first
-    extension goes straight to it, so a request over a range costs one
-    fill.  With no ``path`` the series lives in memory only.
+    The cache is written back only if the series grew, and then also
+    when the fill stops early, so an interrupted run keeps every value
+    computed.  With no ``path`` the series lives in memory only.
     """
-
-    def __init__(self, path: str | None, top: int):
-        self.path = path
-        self.top = top
-        self.dirty = False
-        if path and os.path.exists(path):
-            self.series = read_series_file(path)
-        else:
-            self.series = DnSeries()
-
-    def ensure(self, n: int, memory_cap) -> DnSeries:
-        if self.series.n_max < n:
-            # Dirty first: an extension that stops early has still
-            # appended values worth saving.
-            self.dirty = True
-            extend_series(self.series, max(n, self.top), memory_cap=memory_cap)
-        return self.series
-
-    def save(self) -> None:
-        if self.path and self.dirty:
-            write_series_file(self.path, self.series)
-            self.dirty = False
+    if path and os.path.exists(path):
+        series = read_series_file(path)
+    else:
+        series = DnSeries()
+    held = series.n_max
+    try:
+        if held < top:
+            extend_series(series, top, memory_cap=memory_cap)
+    finally:
+        if path and series.n_max > held:
+            write_series_file(path, series)
+    return series
 
 
-def _c(n, store, cap):
-    return count_b(n, store.ensure(n - 2, cap)) + count_s(n, memory_cap=cap)
-
-
-def _db(n, store, cap):
-    series = store.ensure(n, cap)
-    return count_db(n, series, series[n], memory_cap=cap).db
-
-
-# quantity -> (smallest n, lag, compute(n, store, memory_cap)), where
-# compute(n, ...) reads the d series no further than d(n - lag).  Every
-# entry calls its counters through this module's globals at call time,
-# so a counter rebound here (say, by a tracer) is the one that runs.
+# quantity -> (smallest n, lag, compute(n, d, memory_cap)), where d is
+# the d series and compute(n, ...) reads it no further than d(n - lag);
+# a lag of None means it reads no series.  Every entry calls its
+# counters through this module's globals at call time, so a counter
+# rebound here (say, by a tracer) is the one that runs.
 QUANTITIES = {
-    "d": (2, 0, lambda n, store, cap: store.ensure(n, cap)[n]),
-    "d0": (1, 0, lambda n, store, cap: count_d0(n, store.ensure(n, cap))),
-    "h": (2, 1, lambda n, store, cap: count_h(n, store.ensure(n - 1, cap))),
-    "l": (2, 0, lambda n, store, cap: count_l(n, memory_cap=cap)),
-    "dc": (
-        2, 0,
-        lambda n, store, cap: count_dc_indirect(n, store.ensure(n, cap)[n]),
-    ),
-    "dd": (2, 0, lambda n, store, cap: count_dd(n)),
-    "s": (3, 0, lambda n, store, cap: count_s(n, memory_cap=cap)),
-    "b": (3, 2, lambda n, store, cap: count_b(n, store.ensure(n - 2, cap))),
-    "c": (3, 2, _c),
+    "d": (2, 0, lambda n, d, cap: d[n]),
+    "d0": (1, 0, lambda n, d, cap: count_d0(n, d)),
+    "h": (2, 1, lambda n, d, cap: count_h(n, d)),
+    "l": (2, None, lambda n, d, cap: count_l(n, memory_cap=cap)),
+    "dc": (2, 0, lambda n, d, cap: count_dc_indirect(n, d[n])),
+    "dd": (2, None, lambda n, d, cap: count_dd(n)),
+    "s": (3, None, lambda n, d, cap: count_s(n, memory_cap=cap)),
+    "b": (3, 2, lambda n, d, cap: count_b(n, d)),
+    "c": (3, 2, lambda n, d, cap: count_b(n, d) + count_s(n, memory_cap=cap)),
     "d2": (
         3, 0,
-        lambda n, store, cap: store.ensure(n, cap)[n] - _c(n, store, cap),
+        lambda n, d, cap: d[n] - count_b(n, d) - count_s(n, memory_cap=cap),
     ),
-    "db": (3, 0, _db),
+    "db": (3, 0, lambda n, d, cap: count_db(n, d, d[n], memory_cap=cap).db),
 }
 
 # Routes verify checks besides QUANTITIES, each the second way to a
-# number the package serves: name -> (CountReport field, smallest n,
-# compute(n, store, memory_cap)).
+# number the package serves and none reading the d series: name ->
+# (CountReport field, smallest n, compute(n, d, memory_cap)).
 _SECOND_ROUTES = {
-    "d_basic": (
-        "d", 2, lambda n, store, cap: count_d_basic(n, memory_cap=cap)
-    ),
+    "d_basic": ("d", 2, lambda n, d, cap: count_d_basic(n, memory_cap=cap)),
     "dc_direct": (
-        "dc", 2, lambda n, store, cap: count_dc_direct(n, memory_cap=cap)
+        "dc", 2, lambda n, d, cap: count_dc_direct(n, memory_cap=cap)
     ),
-    "d2_minus_b": (
-        "d2_minus_b", 3, lambda n, store, cap: count_d2_minus_b(n)
-    ),
+    "d2_minus_b": ("d2_minus_b", 3, lambda n, d, cap: count_d2_minus_b(n)),
     "profile_g": (
-        "profile_g", 2,
-        lambda n, store, cap: profile(n, "G", memory_cap=cap),
+        "profile_g", 2, lambda n, d, cap: profile(n, "G", memory_cap=cap)
     ),
     "by_largest": (
         "by_largest", 2,
-        lambda n, store, cap: count_by_largest(n, memory_cap=cap),
+        lambda n, d, cap: count_by_largest(n, memory_cap=cap),
     ),
 }
 
@@ -229,15 +206,14 @@ def _cmd_count(args) -> int:
             f"quantity {args.quantity!r} is defined for n >= {lo}, "
             f"got n = {n_values[0]}"
         )
-    store = _SeriesStore(args.cache, n_values[-1] - lag)
+    series = None
+    if lag is not None:
+        series = _series(args.cache, n_values[-1] - lag, args.memory_cap)
     rows = (
-        (str(n), args.quantity, str(compute(n, store, args.memory_cap)))
+        (str(n), args.quantity, str(compute(n, series, args.memory_cap)))
         for n in n_values
     )
-    try:
-        _emit(rows, ("n", "quantity", "value"), args.format)
-    finally:
-        store.save()
+    _emit(rows, ("n", "quantity", "value"), args.format)
     return EXIT_OK
 
 
@@ -262,11 +238,7 @@ def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
 def _cmd_ratio(args) -> int:
     if args.range[0] < 3:
         raise _UsageError("ratio needs n >= 3 (d(n-1) must be nonzero)")
-    store = _SeriesStore(args.cache, args.range[-1])
-    try:
-        series = store.ensure(args.range[-1], args.memory_cap)
-    finally:
-        store.save()
+    series = _series(args.cache, args.range[-1], args.memory_cap)
     rows = [
         (str(n), _ratio_decimal(series[n], series[n - 1]))
         for n in args.range
@@ -287,14 +259,14 @@ def _cmd_verify(args) -> int:
         q: (q, lo, compute) for q, (lo, _, compute) in QUANTITIES.items()
     }
     routes.update(_SECOND_ROUTES)
-    store = _SeriesStore(None, args.max_n)
+    series = _series(None, args.max_n, args.memory_cap)
     mismatches = {}
     for n in range(2, args.max_n + 1):
         rep = oracle_counts(n, cap=args.oracle_cap)
         for name, (field, lo, compute) in routes.items():
             if n < lo:
                 continue
-            got = compute(n, store, args.memory_cap)
+            got = compute(n, series, args.memory_cap)
             want = getattr(rep, field)
             if got != want:
                 mismatches[name] = mismatches.get(name, 0) + 1

@@ -128,26 +128,18 @@ def count_b(n: int, prior: DnSeries) -> int:
 def count_d2_minus_b(n: int) -> int:
     """d2(n) - db(n): min degree >= 2 but not potentially biconnected.
 
-    Closed form: for each largest degree d1 = 4..n-1 with k = d1 // 2,
-    the non-biconnectable sequences are counted by partition numbers,
-    p(0) + p(2) + ... + p(2k - 4) for even d1 and
-    p(1) + p(3) + ... + p(2k - 3) for odd d1.  Largest degrees 2 and 3
-    contribute nothing (their ranges are empty).
+    Closed form: for each largest degree d1 = 4..n-1 the
+    non-biconnectable sequences number the sum of the unrestricted
+    partition numbers p(j) over the j of d1's parity from d1 % 2 up to
+    d1 - 4.  Largest degrees 2 and 3 contribute nothing.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    total = 0
-    for d1 in range(4, n):
-        k = d1 // 2
-        if d1 % 2 == 0:
-            top = 2 * k - 4
-            start = 0
-        else:
-            top = 2 * k - 3
-            start = 1
-        for j in range(start, top + 1, 2):
-            total += unrestricted_p(j)
-    return total
+    return sum(
+        unrestricted_p(j)
+        for d1 in range(4, n)
+        for j in range(d1 % 2, d1 - 3, 2)
+    )
 
 
 def count_db(

@@ -291,12 +291,8 @@ def count_d_improved(
         raise ValueError("need n >= 1")
     if n == 1:
         return 0
-    if prior.n_max < n - 1:
-        raise MissingPriorError(
-            f"improved route to d({n}) needs d(1)..d({n - 1}), "
-            f"series holds up to d({prior.n_max})"
-        )
-    return count_l(n, memory_cap=memory_cap) + count_h(n, prior)
+    # h first: a short prior raises before l(n) fills any table.
+    return count_h(n, prior) + count_l(n, memory_cap=memory_cap)
 
 
 def count_d0(n: int, prior: DnSeries) -> int:

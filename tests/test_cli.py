@@ -4,7 +4,9 @@ import pytest
 
 from degseq import degree_counts
 from degseq.cli import QUANTITIES, main
-from degseq.degree_counts import _matrix_params, count_d_basic
+from degseq.degree_counts import DnSeries, _matrix_params, count_d_basic
+from degseq.errors import MissingPriorError
+from degseq.oracle import oracle_counts
 from degseq.partition_table import TableParams
 
 
@@ -90,6 +92,26 @@ class TestCount:
         )
         assert code == 0
         assert out == "4 7\n"
+
+
+class TestRouteLags:
+    # The oracle starts at n = 2; test_d0_n1 covers d0(1).
+    @pytest.mark.parametrize(
+        "quantity",
+        [q for q, (_, lag, _) in QUANTITIES.items() if lag is not None],
+    )
+    def test_lag_is_exact(self, quantity):
+        lo, lag, compute = QUANTITIES[quantity]
+        d = [oracle_counts(i).d for i in range(2, 10)]
+        for n in range(max(lo, 2), 10):
+            reach = n - lag
+            series = DnSeries([0, *d[: reach - 1]])
+            want = getattr(oracle_counts(n), quantity)
+            assert compute(n, series, None) == want
+            if reach - 1 >= 1:
+                short = DnSeries([0, *d[: reach - 2]])
+                with pytest.raises(MissingPriorError):
+                    compute(n, short, None)
 
 
 class TestSeries:
@@ -350,6 +372,35 @@ class TestCacheFlow:
                 "--cache", str(cache),
             ])
         assert cache.read_text() == "1 0\n2 1\n3 2\n4 7\n5 20\n6 71\n"
+
+    def test_refused_run_leaves_the_cache_alone(self, capsys, tmp_path):
+        cache = tmp_path / "d.txt"
+        cache.write_text("# notes\n1 0\n2 1\n3 2\n4 7\n5 20\n")
+        before = cache.read_bytes()
+        code, out, err = run(
+            capsys, "count", "--quantity", "d", "--n", "40",
+            "--memory-cap", "1000", "--cache", str(cache),
+        )
+        assert code == 2
+        assert "cap" in err
+        assert cache.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "quantity,value", [("dd", "3"), ("l", "40"), ("s", "24")]
+    )
+    def test_routes_without_series_ignore_the_cache(
+        self, capsys, tmp_path, quantity, value
+    ):
+        cache = tmp_path / "bad.txt"
+        cache.write_text("1 0\n5 20\n")
+        code, out, err = run(
+            capsys, "count", "--quantity", quantity, "--n", "6",
+            "--cache", str(cache), "--format", "bfile",
+        )
+        assert code == 0
+        assert out == f"6 {value}\n"
+        assert err == ""
+        assert cache.read_text() == "1 0\n5 20\n"
 
     def test_corrupt_cache_is_reported(self, capsys, tmp_path):
         cache = tmp_path / "bad.txt"

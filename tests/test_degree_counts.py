@@ -69,9 +69,10 @@ class TestCountDImproved:
         for n in range(2, 11):
             assert count_d_improved(n, series_10) == count_d_basic(n)
 
-    def test_short_prior_raises(self):
+    def test_short_prior_raises(self, table_builds):
         with pytest.raises(MissingPriorError):
             count_d_improved(6, DnSeries([0, 1, 2]))
+        assert table_builds == []
 
 
 class TestCountD0:
