@@ -74,8 +74,9 @@ def count_dc_direct(n: int, *, memory_cap: int | None = None) -> int:
 def count_dd(n: int) -> int:
     """dd(n): graphical zero-free sequences with sum below 2(n - 1).
 
-    Every lookup saturates the slack, so a bounded table sized
-    max_sum = 2(n - 2) suffices and the whole computation is cubic.
+    Every lookup saturates the slack, and a read g'(N, k, n) with
+    N <= 2n - 3 and k >= 1 reaches sums of at most n - 4, so a bounded
+    table sized max_sum = n - 4 suffices; the whole computation is cubic.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -84,7 +85,7 @@ def count_dd(n: int) -> int:
         return 0
     table = BoundedPartitionTable.build(
         TableParams(
-            max_sum=2 * (n - 2), max_part=max(0, n - 4), target_parts=n - 1
+            max_sum=max(0, n - 4), max_part=max(0, n - 4), target_parts=n - 1
         )
     )
     total = 0

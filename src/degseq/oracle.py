@@ -7,17 +7,20 @@ tuples.  Graphicality is decided by two independent classical criteria
 connectivity by the sum threshold 2(n - 1), potential biconnectivity by
 minimum degree 2 plus the sum threshold 2n - 4 + 2 * largest.
 
-A single pass over E(n) fills a CountReport whose fields mirror the
-dynamic-programming modules, each counted by its own direct filter so
-that every cross-module identity remains a genuine check.  Enumeration
-cost grows roughly fourfold per vertex, so a cap (default 14) guards
-against accidental huge runs.
+One pass over E(n) keeps a histogram of its graphical members by
+(degree sum, largest degree, smallest degree), memoized per n; it is
+the oracle's counterpart of the dynamic program's graphical matrix.
+Every CountReport field is then a masked sum of that histogram, each
+with its own predicate in _FIELDS, so that every cross-module identity
+remains a genuine check.  Enumeration cost grows roughly fourfold per
+vertex, so a cap (default 14) guards against accidental huge runs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterator
 
 from .degree_counts import SumProfile, _even_range
@@ -27,29 +30,16 @@ DEFAULT_ORACLE_CAP = 14
 
 
 def enumerate_even_bounded(n: int) -> Iterator[tuple]:
-    """Yield E(n) in lexicographically decreasing order.
+    """Iterate over E(n) in lexicographically decreasing order.
 
-    Only the final position consults the running sum parity, so every
-    emitted candidate already has an even sum; no candidate is built
-    and discarded.
+    combinations_with_replacement builds the non-increasing n-tuples
+    over n - 1..1 in C, in that order; the odd-sum half is dropped.
+    Raises ValueError for n < 2 when called, before any iteration.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    seq = [0] * n
-    last = n - 1
-
-    def rec(pos: int, prev: int, parity: int) -> Iterator[tuple]:
-        if pos == last:
-            start = prev if (prev & 1) == parity else prev - 1
-            for v in range(start, 0, -2):
-                seq[pos] = v
-                yield tuple(seq)
-        else:
-            for v in range(prev, 0, -1):
-                seq[pos] = v
-                yield from rec(pos + 1, v, parity ^ (v & 1))
-
-    yield from rec(0, n - 1, 0)
+    tuples = combinations_with_replacement(range(n - 1, 0, -1), n)
+    return (seq for seq in tuples if not sum(seq) % 2)
 
 
 def _validate(seq) -> int:
@@ -154,26 +144,44 @@ class CountReport:
     by_largest: dict
 
 
-_D_MEMO: dict = {}
+_HISTOGRAMS: dict = {}
 
 
-def _count_d(n: int) -> int:
-    """Graphical members of E(n), memoized."""
-    if n == 1:
-        return 0
-    if n not in _D_MEMO:
-        _D_MEMO[n] = sum(
-            1 for seq in enumerate_even_bounded(n) if is_graphical_eg(seq)
+def _histogram(n: int) -> Counter:
+    """Graphical members of E(n) by (sum, largest, smallest), memoized."""
+    if n not in _HISTOGRAMS:
+        _HISTOGRAMS[n] = Counter(
+            (sum(seq), seq[0], seq[-1])
+            for seq in enumerate_even_bounded(n)
+            if is_graphical_eg(seq)
         )
-    return _D_MEMO[n]
+    return _HISTOGRAMS[n]
+
+
+# Each field's own membership test over (n, degree sum, largest,
+# smallest), as the README's quantities table defines it.  None is
+# derived from another, so the identities between them stay checks.
+_FIELDS = {
+    "d": lambda n, N, hi, lo: True,
+    "h": lambda n, N, hi, lo: hi == n - 1,
+    "l": lambda n, N, hi, lo: hi <= n - 2,
+    "dc": lambda n, N, hi, lo: N >= 2 * (n - 1),
+    "dd": lambda n, N, hi, lo: N < 2 * (n - 1),
+    "s": lambda n, N, hi, lo: hi == n - 2,
+    "b": lambda n, N, hi, lo: hi == n - 1 and lo == 1,
+    "c": lambda n, N, hi, lo: lo == 1,
+    "d2": lambda n, N, hi, lo: lo >= 2,
+    "db": lambda n, N, hi, lo: lo >= 2 and N >= 2 * n - 4 + 2 * hi,
+    "d2_minus_b": lambda n, N, hi, lo: lo >= 2 and N < 2 * n - 4 + 2 * hi,
+}
 
 
 def oracle_counts(n: int, *, cap: int | None = None) -> CountReport:
-    """Exact counts for every report field by one pass over E(n).
+    """Exact counts for every report field from the histogram of E(n).
 
-    The zero-allowing total d0(n) comes from 1 + sum of d(i) for
-    i = 2..n (the all-zero sequence plus a zero-padding bijection),
-    reusing memoized d values for smaller i.
+    The zero-allowing total d0(n) is 1 + sum of d(i) for i = 2..n (the
+    all-zero sequence plus a zero-padding bijection), read from the
+    memoized histograms of the smaller i.
 
     Raises:
         OracleCapError: n exceeds the cap (default 14).
@@ -186,55 +194,20 @@ def oracle_counts(n: int, *, cap: int | None = None) -> CountReport:
         )
     if n < 2:
         raise ValueError("need n >= 2")
-    d = h = low = dc = dd = s = b = c = d2 = db = d2mb = 0
+    histogram = _histogram(n)
+    fields = {
+        name: sum(c for key, c in histogram.items() if member(n, *key))
+        for name, member in _FIELDS.items()
+    }
     profile = {N: 0 for N in _even_range(n, n * (n - 1))}
     by_largest = {k: 0 for k in range(1, n)}
-    conn_floor = 2 * (n - 1)
-    for seq in enumerate_even_bounded(n):
-        if not is_graphical_eg(seq):
-            continue
-        d += 1
-        total = sum(seq)
-        d1 = seq[0]
-        dn = seq[-1]
-        profile[total] += 1
-        by_largest[d1] += 1
-        if d1 == n - 1:
-            h += 1
-        else:
-            low += 1
-        if total >= conn_floor:
-            dc += 1
-        else:
-            dd += 1
-        if d1 == n - 2:
-            s += 1
-        if dn == 1:
-            c += 1
-            if d1 == n - 1:
-                b += 1
-        else:
-            d2 += 1
-            if total >= 2 * n - 4 + 2 * d1:
-                db += 1
-            else:
-                d2mb += 1
-    _D_MEMO[n] = d
-    d0 = 1 + sum(_count_d(i) for i in range(2, n + 1))
+    for (N, hi, _), count in histogram.items():
+        profile[N] += count
+        by_largest[hi] += count
     return CountReport(
         n=n,
-        d=d,
-        d0=d0,
-        h=h,
-        l=low,
-        dc=dc,
-        dd=dd,
-        s=s,
-        b=b,
-        c=c,
-        d2=d2,
-        db=db,
-        d2_minus_b=d2mb,
+        d0=1 + sum(_histogram(i).total() for i in range(2, n + 1)),
         profile_g=SumProfile(n=n, family="G", entries=profile),
         by_largest=by_largest,
+        **fields,
     )

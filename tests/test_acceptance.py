@@ -6,12 +6,12 @@ empirical observation and never fails the suite; every other criterion
 asserts.
 """
 
+import importlib.util
 import math
-import signal
+import os
 import statistics
 import time
 
-import numpy as np
 import pytest
 
 from degseq.connectivity_counts import (
@@ -42,6 +42,11 @@ from degseq.oracle import (
 )
 
 ORACLE_LIMIT = 13
+HOSTPROBE_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfbench",
+    "hostprobe.py",
+)
 
 
 def report(capsys, ok: bool, text: str) -> None:
@@ -287,61 +292,15 @@ def _fit_exponent(sizes, times):
     return num / den
 
 
-class _HostSpeed:
-    """Samples the host's speed on the test's own thread while entered.
-
-    The host's speed drifts 2-3x over seconds to minutes, so raw wall
-    times of different sizes are not comparable.  A wall-clock interval
-    timer runs a fixed piece of work every 25 ms (sliced adds on small
-    object arrays of big integers, the operation the table fill is made
-    of) and records its seconds p: the host then ran at 1 / p of a
-    reference speed.  perfbench/hostprobe.py rescales the benchmark's
-    times the same way.
-    """
-
-    def __init__(self):
-        self.samples = []
-        self._busy = False
-        self._a = np.array([10**20 + 7 * i for i in range(64)], dtype=object)
-        self._b = np.array([3**40 + 11 * i for i in range(64)], dtype=object)
-        self._out = np.empty(64, dtype=object)
-
-    def _sample(self, *_):
-        if self._busy:  # the timer fired inside a sample of seconds()
-            return
-        self._busy = True
-        a, b, out = self._a, self._b, self._out
-        t0 = time.perf_counter()
-        for i in range(100):
-            j = i & 31
-            np.add(a[j : j + 32], b[j : j + 32], out=out[j : j + 32])
-            view = out[j : j + 32]
-            view -= a[:32]
-        self.samples.append(time.perf_counter() - t0)
-        self._busy = False
-
-    def __enter__(self):
-        self._handler = signal.signal(signal.SIGALRM, self._sample)
-        signal.setitimer(signal.ITIMER_REAL, 0.025, 0.025)
-        return self
-
-    def __exit__(self, *exc):
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, self._handler)
-
-    def seconds(self, fn, *args) -> float:
-        """Seconds fn(*args) takes at the reference speed: its wall time
-        less the samples taken inside it, times the mean sampled speed
-        over it, with one sample taken on each side."""
-        self._sample()
-        first = len(self.samples) - 1
-        t0 = time.perf_counter()
-        fn(*args)
-        elapsed = time.perf_counter() - t0
-        self._sample()
-        window = self.samples[first:]
-        speed = sum(1 / p for p in window) / len(window)
-        return (elapsed - sum(window[1:-1])) * speed
+def _load_hostprobe():
+    """perfbench/hostprobe.py, loaded from its file: the benchmark's
+    host-speed probe, which rescales seconds to a fixed host speed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_hostprobe", HOSTPROBE_PATH
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _fill_seconds(fn, sizes, empty_memo, rounds=3):
@@ -352,11 +311,19 @@ def _fill_seconds(fn, sizes, empty_memo, rounds=3):
     runs before each call, so every call pays for its fill.
     """
     times = {n: [] for n in sizes}
-    with _HostSpeed() as host:
+    probe = _load_hostprobe().HostProbe()
+    probe.start()
+    try:
         for _ in range(rounds):
             for n in sizes:
                 empty_memo()
-                times[n].append(host.seconds(fn, n))
+                first = probe.mark()
+                t0 = time.perf_counter()
+                fn(n)
+                elapsed = time.perf_counter() - t0
+                times[n].append(probe.rescale(elapsed, first, probe.mark()))
+    finally:
+        probe.stop()
     return [statistics.median(times[n]) for n in sizes]
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from degseq import oracle
 from degseq.degree_counts import DnSeries, extend_series
 from degseq.errors import OracleCapError
 from degseq.oracle import (
@@ -119,6 +120,26 @@ class TestOracleCounts:
             assert oracle_counts(n).d0 == 1 + sum(
                 series[i] for i in range(2, n + 1)
             )
+
+    def test_each_candidate_is_decided_once(self, monkeypatch):
+        # d0(9) reads the histograms of n = 2..8 too, so the first call
+        # decides every member of E(2)..E(9) once; the second, none.
+        monkeypatch.setattr(oracle, "_HISTOGRAMS", {})
+        eg = oracle.is_graphical_eg
+        calls = []
+
+        def counted(seq):
+            calls.append(seq)
+            return eg(seq)
+
+        monkeypatch.setattr(oracle, "is_graphical_eg", counted)
+        oracle_counts(9)
+        assert len(calls) == sum(
+            len(list(enumerate_even_bounded(n))) for n in range(2, 10)
+        )
+        calls.clear()
+        oracle_counts(9)
+        assert calls == []
 
     def test_cap_enforced(self):
         with pytest.raises(OracleCapError):
