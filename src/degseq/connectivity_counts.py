@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degree_counts import DnSeries, _even_range, count_d0, graphical_matrix
+from .degree_counts import DnSeries, count_d0, graphical_matrix
 from .partition_table import BoundedPartitionTable, TableParams, unrestricted_p
 
 
@@ -65,35 +65,26 @@ def count_dc_direct(n: int, *, memory_cap: int | None = None) -> int:
     """dc(n): graphical matrix rows with sums 2(n-1)..n(n-1)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = graphical_matrix(
-        n, n * (n - 1), range(1, n), memory_cap=memory_cap
-    )
+    rows = graphical_matrix(n, memory_cap=memory_cap)
     return sum(sum(row) for N, row in rows.items() if N >= 2 * (n - 1))
 
 
 def count_dd(n: int) -> int:
     """dd(n): graphical zero-free sequences with sum below 2(n - 1).
 
-    Every lookup saturates the slack, and a read g'(N, k, n) with
-    N <= 2n - 3 and k >= 1 reaches sums of at most n - 4, so a bounded
-    table sized max_sum = n - 4 suffices; the whole computation is cubic.
+    A sum of at most 2n - 4 over n positive degrees leaves the largest
+    at most n - 3, and a read g'(N, k, n) with N <= 2n - 3 and k >= 1
+    reaches sums of at most n - 4 on the saturated slack surface, so a
+    bounded table sized max_sum = n - 4 suffices; the work is cubic.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    sums = _even_range(n, 2 * n - 3)
-    if not sums:
-        return 0
+    if n < 4:
+        return 0  # no even sum lies in [n, 2n - 3]
     table = BoundedPartitionTable.build(
-        TableParams(
-            max_sum=max(0, n - 4), max_part=max(0, n - 4), target_parts=n - 1
-        )
+        TableParams(max_sum=n - 4, max_part=n - 4, target_parts=n - 1)
     )
-    total = 0
-    for N in sums:
-        kmax = min(n - 1, N - n + 1)
-        for k in range(1, kmax + 1):
-            total += table.g_prime(N, k, n)
-    return total
+    return sum(map(sum, table.g_prime_rows(n, 2 * n - 3, n - 3).values()))
 
 
 def count_dc_indirect(n: int, d_n: int) -> int:
@@ -113,10 +104,8 @@ def count_s(n: int, *, memory_cap: int | None = None) -> int:
     """s(n): the graphical matrix column of largest degree n - 2."""
     if n < 3:
         raise ValueError("need n >= 3")
-    rows = graphical_matrix(
-        n, n * (n - 2), range(n - 2, n - 1), memory_cap=memory_cap
-    )
-    return sum(row[0] for row in rows.values())
+    rows = graphical_matrix(n, memory_cap=memory_cap)
+    return sum(row[n - 3] for row in rows.values())
 
 
 def count_b(n: int, prior: DnSeries) -> int:

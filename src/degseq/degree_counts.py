@@ -29,13 +29,14 @@ refuses any value that breaks bounds every true series meets, whether
 the value was computed or read from the OEIS-style b-file the series
 persists in between runs.
 
-Every table is filled and read in _harvest.  Table cells do not depend
-on the table's size, so one fill sized for the largest n serves every
-smaller one: as layer n - 1 passes it becomes n's matrix, at full
-height or at the half height the mirrored L profile reads, and the
+A matrix comes at one of two heights (_extent): full, every sum and
+largest degree, or half, what the mirrored L profile reads.  Every
+table is filled and read in _harvest.  Table cells do not depend on
+the table's size, so one fill sized for the largest n serves every
+smaller one: as layer n - 1 passes it becomes n's matrix, and the
 process keeps it as its one memoized matrix.  extend_series reads each
-l(i) from a half-height harvest; any other count slices the memo when
-it covers the request, else harvests n alone at full height.
+l(i) from a half-height harvest; any other count copies the memo when
+it is high enough, else harvests n alone at full height.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import MissingPriorError
 from .partition_table import PartitionTable, TableParams
 
 FAMILIES = ("G", "L", "H")
-_MATRIX: dict = {}  # n -> (largest sum, degrees, matrix), one n at a time
+_MATRIX: dict = {}  # n -> (full height?, matrix), one n at a time
 
 
 def _even_range(lo: int, hi: int) -> range:
@@ -201,69 +202,70 @@ def write_series_file(path, series: DnSeries) -> None:
         raise
 
 
-def _matrix_params(n: int, max_sum: int, degrees: range) -> TableParams:
-    """The smallest table that serves graphical_matrix(n, max_sum, degrees).
+def _extent(n: int, full: bool) -> tuple:
+    """The largest sum and largest degree of n's graphical matrix.
+
+    Full height holds every sum up to n(n-1) and every largest degree
+    1..n-1.  Half height holds what the mirrored L profile reads, from a
+    table about 4x smaller: sums up to n(n-1)/2 and degrees 1..n-2.
+    """
+    return n * (n - 1) // (2 - full), n - 2 + full
+
+
+def _matrix_params(n: int, full: bool) -> TableParams:
+    """The smallest table that serves n's graphical matrix at a height.
 
     A cell reads sum N - k - n + 1 and part bound k - 1, and sums above
     (k - 1)(n - 1) are zero by the clamp chain without being stored.
     """
-    max_part = max(0, degrees.stop - 2)
-    stored = min(max_sum - degrees.start - n + 1, max_part * (n - 1))
+    top, kmax = _extent(n, full)
+    max_part = max(0, kmax - 1)
+    stored = min(top - n, max_part * (n - 1))
     return TableParams(max(0, stored), max_part, target_parts=n - 1)
 
 
 def _harvest(ns: range, full: bool, visit, memory_cap: int | None) -> None:
     """Fill one table and memoize each n's graphical matrix as it passes.
 
-    The table is sized for ns[-1]: full height covers sums up to n(n-1)
-    and largest degrees 1..n-1; half height, what the mirrored L profile
-    reads from a table about 4x smaller, sums up to n(n-1)/2 and degrees
-    1..n-2.  As the fill completes layer n - 1 for each n in ``ns``, it
-    stores n's matrix at that extent as the memo's one entry and calls
-    visit(n), which must not start another fill: the memo holds one n.
+    The table is sized for ns[-1] at full or half height (_extent).  As
+    the fill completes layer n - 1 for each n in ``ns``, it stores n's
+    matrix at that height as the memo's one entry and calls visit(n),
+    which must not start another fill: the memo holds one n.
     ``memory_cap`` is checked before any layer is filled, so a refusal
     leaves the memo as it was.
     """
-
-    def extent(n: int) -> tuple:
-        return n * (n - 1) // (2 - full), range(1, n - 1 + full)
-
-    params = _matrix_params(ns[-1], *extent(ns[-1]))
+    params = _matrix_params(ns[-1], full)
 
     def harvest(l: int, slices: list) -> None:
         n = l + 1
         if n in ns:
             view = PartitionTable(replace(params, target_parts=l), slices)
-            top, degrees = extent(n)
-            rows = {
-                N: [view.g_prime(N, k, n) for k in degrees]
-                for N in _even_range(n, top)
-            }
             _MATRIX.clear()
-            _MATRIX[n] = (top, degrees, rows)
+            _MATRIX[n] = (full, view.g_prime_rows(n, *_extent(n, full)))
             visit(n)
 
     PartitionTable.build(params, memory_cap=memory_cap, layer_visitor=harvest)
 
 
 def graphical_matrix(
-    n: int, max_sum: int, degrees: range, *, memory_cap: int | None = None
+    n: int, full: bool = True, *, memory_cap: int | None = None
 ) -> dict:
     """The graphical counts g(N, k, n) that every quantity here sums.
 
-    Returns a mapping from each even N in [n, max_sum] to a new list
-    [g(N, k, n) for k in degrees], the number of zero-free graphical
-    sequences on n vertices with sum N and largest degree exactly k.
-    They are sliced from the memoized matrix of n when its extent
-    covers the request, else from a full-height harvest of n, whose
-    build alone checks ``memory_cap``.
+    Returns a mapping from each even N in [n, top] to a new list
+    [g(N, k, n) for k = 1..kmax], the number of zero-free graphical
+    sequences on n vertices with sum N and largest degree exactly k,
+    where (top, kmax) is n's extent at full or half height (_extent).
+    They are copied from the memoized matrix of n when it is at least
+    that high, else from a full-height harvest of n, whose build alone
+    checks ``memory_cap``.
     """
     entry = _MATRIX.get(n)
-    if entry is None or max_sum > entry[0] or degrees.stop > entry[1].stop:
+    if entry is None or (full and not entry[0]):
         _harvest(range(n, n + 1), True, lambda i: None, memory_cap)
-    rows = _MATRIX[n][2]
-    lo, hi = degrees.start - 1, degrees.stop - 1
-    return {N: rows[N][lo:hi] for N in _even_range(n, max_sum)}
+    top, kmax = _extent(n, full)
+    rows = _MATRIX[n][1]
+    return {N: rows[N][:kmax] for N in _even_range(n, top)}
 
 
 def count_d_basic(n: int, *, memory_cap: int | None = None) -> int:
@@ -272,9 +274,7 @@ def count_d_basic(n: int, *, memory_cap: int | None = None) -> int:
         raise ValueError("need n >= 1")
     if n == 1:
         return 0
-    rows = graphical_matrix(
-        n, n * (n - 1), range(1, n), memory_cap=memory_cap
-    )
+    rows = graphical_matrix(n, memory_cap=memory_cap)
     return sum(map(sum, rows.values()))
 
 
@@ -341,19 +341,21 @@ def profile(
         raise ValueError(f"family must be one of {FAMILIES}")
     if n < 2:
         raise ValueError("need n >= 2")
-    # Even sums N in [lo, hi], mirrored about center / 2 (L only).
-    lo, hi, center, degrees = {
-        "G": (n, n * (n - 1), None, range(1, n)),
-        "L": (n, n * (n - 2), n * (n - 1), range(1, n - 1)),
-        "H": (2 * (n - 1), n * (n - 1), None, range(n - 1, n)),
+    # The family's largest degrees, as a slice of a matrix row, its even
+    # sums N in [lo, hi], and the center its sums mirror about (L only).
+    degrees, lo, hi, center = {
+        "G": (slice(0, n - 1), n, n * (n - 1), None),
+        "L": (slice(0, n - 2), n, n * (n - 2), n * (n - 1)),
+        "H": (slice(n - 2, n - 1), 2 * (n - 1), n * (n - 1), None),
     }[family]
-    top = center // 2 if mirror and center is not None else hi
-    if hi < lo:
-        return SumProfile(n=n, family=family, entries={})
-    rows = graphical_matrix(n, top, degrees, memory_cap=memory_cap)
-    entries = {N: sum(row) for N, row in rows.items() if N >= lo}
-    for N in _even_range(top + 1, hi):
-        entries[N] = entries[center - N]
+    half = mirror and center is not None
+    rows = graphical_matrix(n, not half, memory_cap=memory_cap)
+    entries = {
+        N: sum(row[degrees]) for N, row in rows.items() if lo <= N <= hi
+    }
+    if half:
+        for N in _even_range(center // 2 + 1, hi):
+            entries[N] = entries[center - N]
     return SumProfile(n=n, family=family, entries=entries)
 
 
@@ -361,9 +363,7 @@ def count_by_largest(n: int, *, memory_cap: int | None = None) -> dict:
     """Split d(n) by largest degree: mapping k -> count, k = 1..n-1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = graphical_matrix(
-        n, n * (n - 1), range(1, n), memory_cap=memory_cap
-    )
+    rows = graphical_matrix(n, memory_cap=memory_cap)
     return dict(zip(range(1, n), map(sum, zip(*rows.values()))))
 
 

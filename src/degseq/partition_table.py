@@ -14,17 +14,27 @@ N > 0) gives 0; k > N acts as k = N, l > N as l = N, s > N as s = N;
 N > k*l then gives 0 (no partition fits), wherever N lies.  The
 recurrence reproduces the clamped values inside the stored block, so a
 table holding layer l = L answers every query whose clamped l is
-min(L, N).
+min(L, N).  Layer l is filled from layer l - 1 by
+
+    cell(N, k, l, s) = cell(N, k-1, l, s) + cell(N, k, l-1, s)
+                       - cell(N, k-1, l-1, s) + D
+    D = cell(N-k-l+1, k-1, l-1, s+l-k-1), zero when either the sum or the
+        slack argument goes negative, with the slack clamped at the new sum.
 
 Two table flavours hold one layer each and answer through the same
 clamp chain; they differ only in how they fill it and read one cell:
 
-  * :class:`PartitionTable` stores the full (N, k, s) grid, with the s
-    axis ragged at length N + 1, filled by a rolling pass over two
-    layer buffers.  This is the workhorse for degree-sequence counts.
+  * :class:`PartitionTable` stores the full (N, k, s) grid: one flat
+    object-dtype array per part bound k, packing row N (s = 0..N) from
+    ``_row_offsets(max_sum)[N]``.  A rolling pass over two such layers
+    skips the rows N > k*l (no partition fits; they stay zero) and
+    computes a row only up to s = (k+1)^2 // 4, past which it is
+    constant (the prefix-slack deficit of a partition with parts <= k
+    never exceeds j*(k+1-j)).  This is the workhorse for degree-sequence
+    counts.
   * :class:`BoundedPartitionTable` stores only the s-saturated surface
-    s >= N, which is all the disconnected-count path ever reads, and
-    keeps the whole fill cubic in the vertex count.
+    s >= N, one array over N per k, which is all the disconnected-count
+    path ever reads, and keeps the whole fill cubic in the vertex count.
 
 :func:`unrestricted_p` gives the ordinary partition numbers p(j) by the
 pentagonal-number recurrence.
@@ -32,6 +42,7 @@ pentagonal-number recurrence.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +50,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import LayerNotResidentError, MemoryBudgetError
-from ._kernels import fill_layer
 
 
 def _default_memory_cap() -> int:
@@ -55,9 +65,11 @@ def _default_memory_cap() -> int:
 
 DEFAULT_MEMORY_CAP = _default_memory_cap()
 
-# Rough per-cell cost of an object array slot: an 8-byte pointer plus a
-# small-int object (~28 bytes) rounded up to cover allocator overhead.
-_BYTES_PER_SLOT = 40
+# Bytes per allocated slot (a pointer), and per computed cell and layer
+# buffer: its own int object and the fill's temporaries, as measured for
+# ints of up to 48 bytes (skipped rows and saturated tails share ints).
+_BYTES_PER_SLOT = 8
+_BYTES_PER_CELL = 48
 
 
 @dataclass(frozen=True)
@@ -80,9 +92,26 @@ class TableParams:
 
 
 def estimate_table_bytes(params: TableParams) -> int:
-    """Estimated peak memory of a full table build, in bytes."""
-    tri = (params.max_sum + 1) * (params.max_sum + 2) // 2
-    return 2 * (params.max_part + 1) * tri * _BYTES_PER_SLOT
+    """Estimated peak memory of a full table build, in bytes.
+
+    The two buffers allocate 1 + 2 * max_part slices (k = 0 is shared)
+    and each computes min(N, (k+1)^2 // 4) + 1 cells of each row
+    N <= min(max_sum, k * target_parts).  A cell costs _BYTES_PER_CELL
+    or, once larger, the 16-byte-aligned block of an int as large as
+    C(max_part + target_parts, target_parts): no cell exceeds that
+    number of partitions fitting a max_part x target_parts box.
+    """
+    M, K, L = params.max_sum, params.max_part, params.target_parts
+    slots = (1 + 2 * K) * (M + 1) * (M + 2) // 2
+    cells = 0
+    for k in range(1, K + 1):
+        rows, sat = min(M, k * L), (k + 1) * (k + 1) // 4
+        low = min(rows, sat)
+        cells += (low + 1) * (low + 2) // 2 + (rows - low) * (sat + 1)
+    # A CPython int takes 24 bytes plus 4 per 30-bit digit.
+    int_bytes = 24 + 4 * -(-math.comb(K + L, L).bit_length() // 30)
+    per_cell = max(_BYTES_PER_CELL, -(-int_bytes // 16) * 16)
+    return _BYTES_PER_SLOT * slots + 2 * per_cell * cells
 
 
 def _row_offsets(max_sum: int) -> list:
@@ -92,6 +121,49 @@ def _row_offsets(max_sum: int) -> list:
     for n in range(1, max_sum + 2):
         off[n] = off[n - 1] + n
     return off
+
+
+def _fill_layer(cur, prev, l, off, max_sum, max_part):
+    """Fill layer ``l`` into ``cur`` from layer ``l - 1`` in ``prev``.
+
+    Slices k = 1..max_part are processed in order so the same-layer k-1
+    operand is ready.  Slice 0 is a shared constant (1 at N = 0, else 0)
+    and is never written.  Each slice is written only up to its live
+    extent min(max_sum, k*l); the rows above stay zero without being
+    cleared, because a buffer only ever holds layers of one parity and
+    layer l - 2 wrote no row above k*(l - 2).
+    """
+    M = max_sum
+    for k in range(1, max_part + 1):
+        a_km1 = cur[k - 1]
+        b_k = prev[k]
+        c_km1 = prev[k - 1]
+        out = cur[k]
+        live = min(M, k * l)
+        skap = ((k + 1) * (k + 1)) // 4
+        shift = k + l - 1
+        delta = l - k - 1
+        out[0] = 1
+        for N in range(1, live + 1):
+            a = off[N]
+            W = N + 1 if N <= skap else skap + 1
+            end = a + W
+            np.add(a_km1[a:end], b_k[a:end], out=out[a:end])
+            ov = out[a:end]
+            ov -= c_km1[a:end]
+            N2 = N - shift
+            if N2 >= 0:
+                a2 = off[N2]
+                s_lo = -delta if delta < 0 else 0
+                cut = N2 - delta
+                hi = W if cut > W else cut
+                if hi > s_lo:
+                    ov[s_lo:hi] += c_km1[a2 + s_lo + delta : a2 + hi + delta]
+                t_lo = s_lo if s_lo > cut else cut
+                if t_lo < W:
+                    ov[t_lo:W] += c_km1[a2 + N2]
+            if W <= N:
+                out[a + W : a + N + 1] = out[end - 1]
 
 
 class PartitionTable:
@@ -159,7 +231,7 @@ class PartitionTable:
         prev = [shared0] + [fresh_slice() for _ in range(K)]
         cur = [shared0] + [np.zeros(tri, dtype=object) for _ in range(K)]
         for l in range(1, target + 1):
-            fill_layer(cur, prev, l, off, M, K)
+            _fill_layer(cur, prev, l, off, M, K)
             if layer_visitor is not None:
                 layer_visitor(l, cur)
             prev, cur = cur, prev
@@ -223,6 +295,17 @@ class PartitionTable:
             raise ValueError("graphical count needs an even N")
         return self.query_raw(N - k - l + 1, k - 1, l - 1, l - k - 1)
 
+    def g_prime_rows(self, n: int, max_sum: int, kmax: int) -> dict:
+        """g_prime(N, k, n) over the even N in [n, max_sum], k = 1..kmax.
+
+        Returns a mapping from each such N to a new list over k.  A k too
+        large for N (k > N - n + 1) reads 0 through the clamp chain.
+        """
+        return {
+            N: [self.g_prime(N, k, n) for k in range(1, kmax + 1)]
+            for N in range(n + n % 2, max_sum + 1, 2)
+        }
+
 
 class BoundedPartitionTable(PartitionTable):
     """The s-saturated surface of the partition counts, s >= N everywhere.
@@ -240,22 +323,17 @@ class BoundedPartitionTable(PartitionTable):
     @classmethod
     def build(cls, params: TableParams) -> "BoundedPartitionTable":
         M, K, target = params.max_sum, params.max_part, params.target_parts
-        base = [1] + [0] * M
-        prev = [list(base) for _ in range(K + 1)]
+        # Slices are never written once filled, so one array serves as
+        # slice 0 of every layer and as every slice of layer 0.
+        base = np.zeros(M + 1, dtype=object)
+        base[0] = 1
+        prev = [base] * (K + 1)
         for l in range(1, target + 1):
-            cur = [list(base)]
+            cur = [base]
             for k in range(1, K + 1):
-                row_km1 = cur[k - 1]
-                p_k = prev[k]
-                p_km1 = prev[k - 1]
                 shift = k + l - 1
-                out = [0] * (M + 1)
-                out[0] = 1
-                for N in range(1, M + 1):
-                    v = row_km1[N] + p_k[N] - p_km1[N]
-                    if N >= shift:
-                        v += p_km1[N - shift]
-                    out[N] = v
+                out = cur[k - 1] + prev[k] - prev[k - 1]
+                out[shift:] += prev[k - 1][: max(0, M + 1 - shift)]
                 cur.append(out)
             prev = cur
         return cls(params, prev)

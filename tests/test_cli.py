@@ -212,7 +212,7 @@ class TestVerify:
         # The d series fill to n = 8, then one full-height matrix per n
         # that every table-backed route of that n reads.
         assert table_builds == [TableParams(8 * 7 // 2 - 8, 5, 7)] + [
-            _matrix_params(n, n * (n - 1), range(1, n)) for n in range(2, 9)
+            _matrix_params(n, True) for n in range(2, 9)
         ]
 
     def test_wrong_count_is_a_mismatch(self, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for connectivity and biconnectivity potential counts."""
 
+import itertools
+
 import pytest
 
 from degseq.connectivity_counts import (
@@ -78,6 +80,16 @@ class TestConnectedSide:
         for n in range(2, 13):
             assert count_dc_direct(n) + count_dd(n) == series_12[n]
 
+    def test_dd_counts_partitions_below_n(self):
+        # A positive sequence with sum 2(n - c), c >= 1, is the degree
+        # sequence of a forest of c trees, so every zero-free sequence
+        # with an even sum N < 2(n - 1) is graphical.  Less one per
+        # degree it is a partition of N - n < n, so dd(n) sums p(j) over
+        # the j of n's parity from 0 to n - 4.
+        for n in [*range(2, 61), 80, 100, 119, 150]:
+            want = sum(unrestricted_p(j) for j in range(n % 2, n - 3, 2))
+            assert count_dd(n) == want, n
+
     def test_report_splits_d(self, series_12):
         rep = connectivity_report(5, series_12[5])
         assert (rep.dc, rep.dd) == (19, 1) == (count_dc_direct(5), count_dd(5))
@@ -120,6 +132,14 @@ class TestD2MinusB:
         for n in range(2, 16):
             from_two = sum(contribution(d1) for d1 in range(2, n))
             assert from_two == count_d2_minus_b(n)
+
+    def test_running_sum_of_dd(self):
+        # Largest degree d1 contributes the p(j) sum that is dd(d1), so
+        # d2 - db sums dd(4)..dd(n - 1).
+        dd = [count_dd(m) for m in range(4, 80)]
+        prefix = [0, *itertools.accumulate(dd)]
+        for n in range(2, 81):
+            assert count_d2_minus_b(n) == prefix[max(0, n - 4)], n
 
     def test_prefix_path_agrees(self):
         for n in range(2, 30):

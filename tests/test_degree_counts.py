@@ -176,7 +176,7 @@ class TestGraphicalMatrix:
     def test_every_family_matrix_sums_to_its_counts(self):
         series = extend_series(DnSeries(), 14)
         for n in range(2, 15):
-            full = graphical_matrix(n, n * (n - 1), range(1, n))
+            full = graphical_matrix(n)
             cols = [sum(col) for col in zip(*full.values())]
             d, h, l = sum(cols), cols[-1], sum(cols[:-1])
             assert d == series[n] == h + l
@@ -185,44 +185,31 @@ class TestGraphicalMatrix:
             assert dc + count_dd(n) == d
             if n >= 3:
                 assert cols[n - 3] == count_s(n)
-            # The smaller matrices the H, L and s counts read, as
-            # (largest sum, largest degrees), hold the same cells whether
-            # sliced from the memo or read from the smallest table that
-            # serves them, which is how the d series fill is sized.  The
-            # table is built and read here, independently of the memo.
-            families = [
-                (n * (n - 1), range(n - 1, n)),
-                ((n + 2) * (n - 1) // 2, range(n - 1, n)),
-            ]
-            if n >= 3:
-                families += [
-                    (n * (n - 2), range(1, n - 1)),
-                    (n * (n - 1) // 2, range(1, n - 1)),
-                    (n * (n - 2), range(n - 2, n - 1)),
-                ]
-            for top, degrees in families:
-                table = PartitionTable.build(_matrix_params(n, top, degrees))
-                cols = slice(degrees.start - 1, degrees.stop - 1)
+            # Both heights, as (largest sum, largest degree), hold the
+            # same cells whether copied from the memo or read from the
+            # smallest table that serves them, which is how a fill of
+            # that height is sized.  The table is built and read here,
+            # independently of the memo.
+            heights = {True: (n * (n - 1), n - 1),
+                       False: (n * (n - 1) // 2, n - 2)}
+            for height, (top, kmax) in heights.items():
+                table = PartitionTable.build(_matrix_params(n, height))
                 for rows in (
-                    graphical_matrix(n, top, degrees),
-                    _read_matrix(table, n, top, degrees),
+                    graphical_matrix(n, height),
+                    _read_matrix(table, n, top, kmax),
                 ):
                     assert list(rows) == [N for N in full if N <= top]
                     for N, row in rows.items():
-                        assert row == full[N][cols]
+                        assert row == full[N][:kmax]
 
 
-def _read_matrix(table, n, top, degrees):
-    """graphical_matrix(n, top, degrees), read cell by cell from a table
-    holding layer n - 1."""
+def _read_matrix(table, n, top, kmax):
+    """The graphical matrix of n up to sum top and largest degree kmax,
+    read cell by cell from a table holding layer n - 1."""
     return {
-        N: [table.g_prime(N, k, n) for k in degrees]
+        N: [table.g_prime(N, k, n) for k in range(1, kmax + 1)]
         for N in range(n + n % 2, top + 1, 2)
     }
-
-
-def _full_params(n):
-    return _matrix_params(n, n * (n - 1), range(1, n))
 
 
 class TestMatrixMemo:
@@ -246,28 +233,29 @@ class TestMatrixMemo:
             for mirror in (True, False):
                 assert profile(n, family, mirror=mirror).total() == total
         assert profile(n, "G").entries == want.profile_g.entries
-        assert table_builds == [_full_params(n)]
+        assert table_builds == [_matrix_params(n, True)]
 
     def test_memo_holds_one_n(self, table_builds):
         for n in (7, 8, 8, 7):
             count_l(n)
             count_s(n)
-        assert table_builds == [_full_params(n) for n in (7, 8, 7)]
+        assert table_builds == [_matrix_params(n, True) for n in (7, 8, 7)]
 
     def test_answers_are_copies(self, table_builds):
         n = 8
         want = _read_matrix(
-            PartitionTable.build(_full_params(n)), n, n * (n - 1), range(1, n)
+            PartitionTable.build(_matrix_params(n, True)),
+            n, n * (n - 1), n - 1,
         )
-        for row in graphical_matrix(n, n * (n - 1), range(1, n)).values():
+        for row in graphical_matrix(n).values():
             row[:] = [-1] * len(row)
         for family in FAMILIES:
             entries = profile(n, family).entries
             for N in entries:
                 entries[N] = -1
-        assert graphical_matrix(n, n * (n - 1), range(1, n)) == want
+        assert graphical_matrix(n) == want
         assert profile(n, "G").total() == count_d_basic(n) == KNOWN_D[n]
-        assert table_builds == [_full_params(n)] * 2
+        assert table_builds == [_matrix_params(n, True)] * 2
 
     def test_hit_needs_no_memory(self, table_builds):
         l10 = count_l(10)
@@ -276,7 +264,9 @@ class TestMatrixMemo:
             count_s(11, memory_cap=1)
         # The refused build leaves the memo as it was.
         assert profile(10, "L", memory_cap=1).total() == l10
-        assert table_builds == [_full_params(10), _full_params(11)]
+        assert table_builds == [
+            _matrix_params(10, True), _matrix_params(11, True)
+        ]
 
     def test_series_fill_leaves_its_top_half_matrix(self, table_builds):
         n = 12
@@ -291,7 +281,7 @@ class TestMatrixMemo:
         with pytest.raises(MemoryBudgetError):
             count_s(n, memory_cap=1)
         assert count_l(n, memory_cap=1) == want.l
-        assert table_builds == [_full_params(n)]
+        assert table_builds == [_matrix_params(n, True)]
         table_builds.clear()
         got = {
             "s": count_s(n),
@@ -300,7 +290,7 @@ class TestMatrixMemo:
             "h": profile(n, "H").total(),
         }
         assert got == {name: getattr(want, name) for name in got}
-        assert table_builds == [_full_params(n)]
+        assert table_builds == [_matrix_params(n, True)]
 
 
 class TestDnSeries:
