@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import MissingPriorError
@@ -236,12 +236,11 @@ def _harvest(ns: range, full: bool, visit, memory_cap: int | None) -> None:
     """
     params = _matrix_params(ns[-1], full)
 
-    def harvest(l: int, slices: list) -> None:
+    def harvest(l: int, layer: PartitionTable) -> None:
         n = l + 1
         if n in ns:
-            view = PartitionTable(replace(params, target_parts=l), slices)
             _MATRIX.clear()
-            _MATRIX[n] = (full, view.g_prime_rows(n, *_extent(n, full)))
+            _MATRIX[n] = (full, layer.g_prime_rows(n, *_extent(n, full)))
             visit(n)
 
     PartitionTable.build(params, memory_cap=memory_cap, layer_visitor=harvest)

@@ -25,13 +25,13 @@ Two table flavours hold one layer each and answer through the same
 clamp chain; they differ only in how they fill it and read one cell:
 
   * :class:`PartitionTable` stores the full (N, k, s) grid: one flat
-    object-dtype array per part bound k, packing row N (s = 0..N) from
-    ``_row_offsets(max_sum)[N]``.  A rolling pass over two such layers
-    skips the rows N > k*l (no partition fits; they stay zero) and
-    computes a row only up to s = (k+1)^2 // 4, past which it is
-    constant (the prefix-slack deficit of a partition with parts <= k
-    never exceeds j*(k+1-j)).  This is the workhorse for degree-sequence
-    counts.
+    object-dtype array per part bound k, where row N (s = 0..N) starts
+    at N(N+1)/2.  A rolling pass over two such layers skips the rows
+    N > k*l (no partition fits; they stay zero) and computes a row only
+    up to s = (k+1)^2 // 4, past which it is constant (the prefix-slack
+    deficit of a partition with parts <= k never exceeds j*(k+1-j)).
+    This is the workhorse for degree-sequence counts.  This module alone
+    knows that layout: a fill's visitor and every reader get a table.
   * :class:`BoundedPartitionTable` stores only the s-saturated surface
     s >= N, one array over N per k, which is all the disconnected-count
     path ever reads, and keeps the whole fill cubic in the vertex count.
@@ -42,9 +42,8 @@ pentagonal-number recurrence.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -97,9 +96,12 @@ def estimate_table_bytes(params: TableParams) -> int:
     The two buffers allocate 1 + 2 * max_part slices (k = 0 is shared)
     and each computes min(N, (k+1)^2 // 4) + 1 cells of each row
     N <= min(max_sum, k * target_parts).  A cell costs _BYTES_PER_CELL
-    or, once larger, the 16-byte-aligned block of an int as large as
-    C(max_part + target_parts, target_parts): no cell exceeds that
-    number of partitions fitting a max_part x target_parts box.
+    or, once larger, the 16-byte-aligned block of an int of
+    max_part + target_parts bits: no cell exceeds the number of
+    partitions fitting a max_part x target_parts box, C(max_part +
+    target_parts, target_parts) < 2^(max_part + target_parts).  The
+    bound, unlike the binomial itself, costs nothing to compute, so a
+    huge table is refused in time linear in max_part.
     """
     M, K, L = params.max_sum, params.max_part, params.target_parts
     slots = (1 + 2 * K) * (M + 1) * (M + 2) // 2
@@ -109,29 +111,21 @@ def estimate_table_bytes(params: TableParams) -> int:
         low = min(rows, sat)
         cells += (low + 1) * (low + 2) // 2 + (rows - low) * (sat + 1)
     # A CPython int takes 24 bytes plus 4 per 30-bit digit.
-    int_bytes = 24 + 4 * -(-math.comb(K + L, L).bit_length() // 30)
+    int_bytes = 24 + 4 * -(-(K + L) // 30)
     per_cell = max(_BYTES_PER_CELL, -(-int_bytes // 16) * 16)
     return _BYTES_PER_SLOT * slots + 2 * per_cell * cells
 
 
-def _row_offsets(max_sum: int) -> list:
-    """Start of each row N = 0..max_sum + 1 in a packed slice, where row
-    N holds s = 0..N; the last entry is the slice length."""
-    off = [0] * (max_sum + 2)
-    for n in range(1, max_sum + 2):
-        off[n] = off[n - 1] + n
-    return off
-
-
-def _fill_layer(cur, prev, l, off, max_sum, max_part):
+def _fill_layer(cur, prev, l, max_sum, max_part):
     """Fill layer ``l`` into ``cur`` from layer ``l - 1`` in ``prev``.
 
     Slices k = 1..max_part are processed in order so the same-layer k-1
     operand is ready.  Slice 0 is a shared constant (1 at N = 0, else 0)
-    and is never written.  Each slice is written only up to its live
-    extent min(max_sum, k*l); the rows above stay zero without being
-    cleared, because a buffer only ever holds layers of one parity and
-    layer l - 2 wrote no row above k*(l - 2).
+    and is never written, nor is row 0 of any slice, which holds 1 from
+    allocation.  Each slice is written only up to its live extent
+    min(max_sum, k*l); the rows above stay zero without being cleared,
+    because a buffer only ever holds layers of one parity and layer
+    l - 2 wrote no row above k*(l - 2).
     """
     M = max_sum
     for k in range(1, max_part + 1):
@@ -143,9 +137,9 @@ def _fill_layer(cur, prev, l, off, max_sum, max_part):
         skap = ((k + 1) * (k + 1)) // 4
         shift = k + l - 1
         delta = l - k - 1
-        out[0] = 1
+        a = a2 = 0  # starts of rows N and N2, N(N+1)/2 and N2(N2+1)/2
         for N in range(1, live + 1):
-            a = off[N]
+            a += N
             W = N + 1 if N <= skap else skap + 1
             end = a + W
             np.add(a_km1[a:end], b_k[a:end], out=out[a:end])
@@ -153,7 +147,7 @@ def _fill_layer(cur, prev, l, off, max_sum, max_part):
             ov -= c_km1[a:end]
             N2 = N - shift
             if N2 >= 0:
-                a2 = off[N2]
+                a2 += N2
                 s_lo = -delta if delta < 0 else 0
                 cut = N2 - delta
                 hi = W if cut > W else cut
@@ -175,18 +169,13 @@ class PartitionTable:
     clamped l equals min(target_parts, N) and raises
     LayerNotResidentError otherwise.
 
-    The constructor wraps a layer already filled: ``slices`` is its list
-    of per-k slices, packed as ``build`` packs them for
-    ``params.max_sum`` and ``params.max_part``.  Wrapping the live layer
-    a ``layer_visitor`` receives gives a read-only view of it, valid only
-    until the visitor returns, because the fill then overwrites those
-    buffers.
+    Instances come from ``build``: the table it returns, or the view of
+    each layer it hands a ``layer_visitor``.
     """
 
     def __init__(self, params: TableParams, slices: list):
         self.params = params
         self._slices = slices
-        self._off = _row_offsets(params.max_sum)
 
     @classmethod
     def build(
@@ -194,7 +183,7 @@ class PartitionTable:
         params: TableParams,
         *,
         memory_cap: int | None = None,
-        layer_visitor: Callable[[int, list], None] | None = None,
+        layer_visitor: Callable[[int, PartitionTable], None] | None = None,
     ) -> "PartitionTable":
         """Fill layers l = 0..target_parts and return the last one.
 
@@ -203,10 +192,11 @@ class PartitionTable:
             memory_cap: byte budget checked before any allocation;
                 defaults to DEFAULT_MEMORY_CAP, seven eighths of the
                 machine's physical memory.
-            layer_visitor: optional callback invoked as visitor(l, slices)
+            layer_visitor: optional callback invoked as visitor(l, layer)
                 after each layer l >= 1 is filled, before the buffers
-                roll.  ``slices`` is the live list of per-k flat arrays
-                and must not be mutated or retained.
+                roll.  ``layer`` is a read-only view of layer l, a table
+                with target_parts = l, valid only until the visitor
+                returns: the fill then overwrites its buffers.
 
         Raises:
             MemoryBudgetError: the estimated table size exceeds the cap.
@@ -216,9 +206,7 @@ class PartitionTable:
         if estimate > cap:
             raise MemoryBudgetError(estimate, cap)
         M, K, target = params.max_sum, params.max_part, params.target_parts
-
-        off = _row_offsets(M)
-        tri = off[M + 1]
+        tri = (M + 1) * (M + 2) // 2
 
         def fresh_slice() -> np.ndarray:
             arr = np.zeros(tri, dtype=object)
@@ -229,11 +217,11 @@ class PartitionTable:
         # and is never written, so one array backs it everywhere.
         shared0 = fresh_slice()
         prev = [shared0] + [fresh_slice() for _ in range(K)]
-        cur = [shared0] + [np.zeros(tri, dtype=object) for _ in range(K)]
+        cur = [shared0] + [fresh_slice() for _ in range(K)]
         for l in range(1, target + 1):
-            _fill_layer(cur, prev, l, off, M, K)
+            _fill_layer(cur, prev, l, M, K)
             if layer_visitor is not None:
-                layer_visitor(l, cur)
+                layer_visitor(l, cls(replace(params, target_parts=l), cur))
             prev, cur = cur, prev
         return cls(params, prev)
 
@@ -275,7 +263,7 @@ class PartitionTable:
 
     def _cell(self, N: int, k: int, s: int) -> int:
         """The stored value at clamped (N, k, s) of the held layer."""
-        return self._slices[k][self._off[N] + s]
+        return self._slices[k][N * (N + 1) // 2 + s]
 
     def g_prime(self, N: int, k: int, l: int) -> int:
         """Count graphical partitions of N with exactly l parts, largest k.

@@ -7,12 +7,15 @@ transcription of the recurrence checks the vectorized layer fill.
 """
 
 import itertools
+import math
 import os
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from degseq.degree_counts import _matrix_params
 from degseq.errors import LayerNotResidentError, MemoryBudgetError
 from degseq.partition_table import (
     DEFAULT_MEMORY_CAP,
@@ -189,8 +192,8 @@ class TestStoredCellsAgainstBruteForce:
         """The fill never clears a row, so rows N > k*l must stay zero."""
         M = params.max_sum
 
-        def visit(l, slices):
-            for k, cells in enumerate(slices):
+        def visit(l, layer):
+            for k, cells in enumerate(layer._slices):
                 top = k * l
                 if top < M:
                     start = (top + 1) * (top + 2) // 2  # row top + 1
@@ -328,6 +331,22 @@ class TestFirstRowColumnBridge:
             table.g_prime(7, 3, 4)
 
 
+def exact_comb_estimate(params):
+    """estimate_table_bytes with each cell's int sized by the exact box
+    count C(max_part + target_parts, target_parts) rather than by its
+    bound 2^(max_part + target_parts)."""
+    M, K, L = params.max_sum, params.max_part, params.target_parts
+    slots = (1 + 2 * K) * (M + 1) * (M + 2) // 2
+    cells = 0
+    for k in range(1, K + 1):
+        rows, sat = min(M, k * L), (k + 1) * (k + 1) // 4
+        low = min(rows, sat)
+        cells += (low + 1) * (low + 2) // 2 + (rows - low) * (sat + 1)
+    int_bytes = 24 + 4 * -(-math.comb(K + L, L).bit_length() // 30)
+    per_cell = max(48, -(-int_bytes // 16) * 16)
+    return 8 * slots + 2 * per_cell * cells
+
+
 class TestMemoryBudget:
     def test_estimate_grows_with_dimensions(self):
         small = estimate_table_bytes(TableParams(10, 4, 4))
@@ -347,6 +366,22 @@ class TestMemoryBudget:
         need = estimate_table_bytes(params)
         PartitionTable.build(params, memory_cap=need)
 
+    def test_int_size_bound_is_exact_to_n91_and_never_lower(self):
+        for n in range(2, 301):
+            for full in (True, False):
+                params = _matrix_params(n, full)
+                exact = exact_comb_estimate(params)
+                got = estimate_table_bytes(params)
+                if n <= 91:
+                    assert got == exact, (n, full)
+                assert got >= exact, (n, full)
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_huge_table_is_estimated_quickly(self, full):
+        start = time.perf_counter()
+        estimate_table_bytes(_matrix_params(300_000, full))
+        assert time.perf_counter() - start < 3.0
+
     def test_default_cap_below_physical_memory(self):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert 0 < DEFAULT_MEMORY_CAP < physical
@@ -357,13 +392,11 @@ class TestLayerView:
         params = TableParams(12, 5, 6)
         checked = []
 
-        def visit(l, slices):
-            view = PartitionTable(
-                TableParams(params.max_sum, params.max_part, l), slices
-            )
+        def visit(l, view):
             built = PartitionTable.build(
                 TableParams(params.max_sum, params.max_part, l)
             )
+            assert view.params == built.params
             for N in range(params.max_sum + 1):
                 for k in range(params.max_part + 1):
                     for s in range(N + 1):
