@@ -7,11 +7,11 @@ differences (conjugate minus part), the partition is counted when
 
     s + r_1 + ... + r_j >= j   for every j = 1..d.
 
-Cell values are Python ints, so counts stay exact at any magnitude.
-Boundary behaviour is fixed by a clamp chain evaluated in this order:
-any negative argument gives 0; N = 0 gives 1; k = 0 or l = 0 (with
-N > 0) gives 0; k > N acts as k = N, l > N as l = N, s > N as s = N;
-N > k*l then gives 0 (no partition fits), wherever N lies.  The
+Every count a table answers is an exact Python int.  Boundary behaviour
+is fixed by a clamp chain evaluated in this order: any negative argument
+gives 0; N = 0 gives 1; k = 0 or l = 0 (with N > 0) gives 0; k > N acts
+as k = N, l > N as l = N, s > N as s = N; N > k*l then gives 0 (no
+partition fits), wherever N lies.  The
 recurrence reproduces the clamped values inside the stored block, so a
 table holding layer l = L answers every query whose clamped l is
 min(L, N).  Layer l is filled from layer l - 1 by
@@ -24,14 +24,24 @@ min(L, N).  Layer l is filled from layer l - 1 by
 Two table flavours hold one layer each and answer through the same
 clamp chain; they differ only in how they fill it and read one cell:
 
-  * :class:`PartitionTable` stores the full (N, k, s) grid: one flat
-    object-dtype array per part bound k, where row N (s = 0..N) starts
-    at N(N+1)/2.  A rolling pass over two such layers skips the rows
-    N > k*l (no partition fits; they stay zero) and computes a row only
-    up to s = (k+1)^2 // 4, past which it is constant (the prefix-slack
-    deficit of a partition with parts <= k never exceeds j*(k+1-j)).
-    This is the workhorse for degree-sequence counts.  This module alone
-    knows that layout: a fill's visitor and every reader get a table.
+  * :class:`PartitionTable` stores the full (N, k, s) grid in
+    fixed-width residues: one uint64 array per part bound k, of shape
+    (planes, min(N_max, k*L) + 1, min(S_k, N_max) + 1) with
+    S_k = (k+1)^2 // 4.  Rows N > k*L hold no partition and are not
+    stored; in layer l < L the rows above k*l stay zero.  Columns stop
+    at S_k, past which a cell is constant in s (the prefix-slack deficit
+    of a partition with parts <= k never exceeds j*(k+1-j)), so a read
+    takes column min(s, S_k).  Columns s > N need no special case: every
+    partition of N passes the test for s >= N, so the recurrence fills
+    them with the s = N value.  A layer is a few 2-D strided operations
+    per slice, with no loop over N.  No cell exceeds the partitions
+    fitting a k x l box, C(K+L, L) < 2^(K+L), so for K + L <= 64 one
+    plane wrapping mod 2^64 holds every cell exactly; larger tables
+    hold ceil((K+L)/61) planes modulo fixed primes below 2^62, whose
+    product exceeds 2^(K+L), and a read combines them by the Chinese
+    remainder theorem.  This is the workhorse for degree-sequence
+    counts.  This module alone knows that layout: a fill's visitor and
+    every reader get a table.
   * :class:`BoundedPartitionTable` stores only the s-saturated surface
     s >= N, one array over N per k, which is all the disconnected-count
     path ever reads, and keeps the whole fill cubic in the vertex count.
@@ -64,11 +74,8 @@ def _default_memory_cap() -> int:
 
 DEFAULT_MEMORY_CAP = _default_memory_cap()
 
-# Bytes per allocated slot (a pointer), and per computed cell and layer
-# buffer: its own int object and the fill's temporaries, as measured for
-# ints of up to 48 bytes (skipped rows and saturated tails share ints).
-_BYTES_PER_SLOT = 8
-_BYTES_PER_CELL = 48
+# Moduli of the residue planes of tables too large for one 2^64 plane.
+_PRIMES = tuple(2**62 - c for c in (57, 87, 117, 143, 153, 167))
 
 
 @dataclass(frozen=True)
@@ -90,74 +97,79 @@ class TableParams:
             raise ValueError("table dimensions must be nonnegative")
 
 
+def _planes(params: TableParams) -> int:
+    """Residue planes that hold every cell exactly: one mod 2^64 while
+    no cell can reach 2^64, else enough primes of 61+ bits for 2^(K+L)."""
+    bits = params.max_part + params.target_parts
+    return 1 if bits <= 64 else -(-bits // 61)
+
+
+def _slice_shape(params: TableParams, k: int) -> tuple:
+    """Rows and columns slice k stores: sums up to k * target_parts, the
+    largest with a partition, and slacks up to (k+1)^2 // 4, past which
+    a cell is saturated in s; neither above max_sum."""
+    M = params.max_sum
+    return (min(M, k * params.target_parts) + 1,
+            min((k + 1) * (k + 1) // 4, M) + 1)
+
+
 def estimate_table_bytes(params: TableParams) -> int:
     """Estimated peak memory of a full table build, in bytes.
 
-    The two buffers allocate 1 + 2 * max_part slices (k = 0 is shared)
-    and each computes min(N, (k+1)^2 // 4) + 1 cells of each row
-    N <= min(max_sum, k * target_parts).  A cell costs _BYTES_PER_CELL
-    or, once larger, the 16-byte-aligned block of an int of
-    max_part + target_parts bits: no cell exceeds the number of
-    partitions fitting a max_part x target_parts box, C(max_part +
-    target_parts, target_parts) < 2^(max_part + target_parts).  The
-    bound, unlike the binomial itself, costs nothing to compute, so a
-    huge table is refused in time linear in max_part.
+    The two buffers each hold 8 bytes per plane for every cell of slices
+    k = 1..max_part (_slice_shape); slice k = 0, one cell, is shared.
+    The sum runs over k, so a huge table is refused in time linear in
+    max_part.
     """
-    M, K, L = params.max_sum, params.max_part, params.target_parts
-    slots = (1 + 2 * K) * (M + 1) * (M + 2) // 2
-    cells = 0
-    for k in range(1, K + 1):
-        rows, sat = min(M, k * L), (k + 1) * (k + 1) // 4
-        low = min(rows, sat)
-        cells += (low + 1) * (low + 2) // 2 + (rows - low) * (sat + 1)
-    # A CPython int takes 24 bytes plus 4 per 30-bit digit.
-    int_bytes = 24 + 4 * -(-(K + L) // 30)
-    per_cell = max(_BYTES_PER_CELL, -(-int_bytes // 16) * 16)
-    return _BYTES_PER_SLOT * slots + 2 * per_cell * cells
+    cells = sum(
+        rows * cols
+        for rows, cols in (_slice_shape(params, k)
+                           for k in range(1, params.max_part + 1))
+    )
+    return 8 * _planes(params) * (2 * cells + 1)
 
 
-def _fill_layer(cur, prev, l, max_sum, max_part):
+def _update(dst, src, add, q):
+    """dst += src (or -=, if not ``add``), modulo q unless q is None.
+
+    Column j of dst takes column j of src, or src's last column where
+    src is narrower: past its last column a slice is saturated in s.
+    """
+    op, undo = (np.add, np.subtract) if add else (np.subtract, np.add)
+    n = min(dst.shape[2], src.shape[2])
+    for d, s in ((dst[:, :, :n], src[:, :, :n]),
+                 (dst[:, :, n:], src[:, :, n - 1 : n])):
+        op(d, s, out=d)
+        if q is not None:  # back into [0, q): residues stay below 2^62
+            np.minimum(d, undo(d, q), out=d)
+
+
+def _fill_layer(cur, prev, l, max_sum, q):
     """Fill layer ``l`` into ``cur`` from layer ``l - 1`` in ``prev``.
 
     Slices k = 1..max_part are processed in order so the same-layer k-1
-    operand is ready.  Slice 0 is a shared constant (1 at N = 0, else 0)
-    and is never written, nor is row 0 of any slice, which holds 1 from
-    allocation.  Each slice is written only up to its live extent
-    min(max_sum, k*l); the rows above stay zero without being cleared,
-    because a buffer only ever holds layers of one parity and layer
-    l - 2 wrote no row above k*(l - 2).
+    operand is ready; slice 0 (1 at N = 0) is shared and never written.
+    Slice k is written on its live rows 0..min(max_sum, k*l) only; the
+    rows above stay zero without being cleared, because a buffer only
+    ever holds layers of one parity and layer l - 2 wrote no row above
+    k*(l - 2).  Each operand is read only on rows it can hold nonzero.
     """
     M = max_sum
-    for k in range(1, max_part + 1):
-        a_km1 = cur[k - 1]
-        b_k = prev[k]
-        c_km1 = prev[k - 1]
-        out = cur[k]
+    for k in range(1, len(cur)):
+        out, c_km1 = cur[k], prev[k - 1]
         live = min(M, k * l)
-        skap = ((k + 1) * (k + 1)) // 4
-        shift = k + l - 1
-        delta = l - k - 1
-        a = a2 = 0  # starts of rows N and N2, N(N+1)/2 and N2(N2+1)/2
-        for N in range(1, live + 1):
-            a += N
-            W = N + 1 if N <= skap else skap + 1
-            end = a + W
-            np.add(a_km1[a:end], b_k[a:end], out=out[a:end])
-            ov = out[a:end]
-            ov -= c_km1[a:end]
-            N2 = N - shift
-            if N2 >= 0:
-                a2 += N2
-                s_lo = -delta if delta < 0 else 0
-                cut = N2 - delta
-                hi = W if cut > W else cut
-                if hi > s_lo:
-                    ov[s_lo:hi] += c_km1[a2 + s_lo + delta : a2 + hi + delta]
-                t_lo = s_lo if s_lo > cut else cut
-                if t_lo < W:
-                    ov[t_lo:W] += c_km1[a2 + N2]
-            if W <= N:
-                out[a + W : a + N + 1] = out[end - 1]
+        out[:, : live + 1] = prev[k][:, : live + 1]
+        rows = min(M, (k - 1) * l) + 1
+        _update(out[:, :rows], cur[k - 1][:, :rows], True, q)
+        rows = min(M, (k - 1) * (l - 1)) + 1
+        _update(out[:, :rows], c_km1[:, :rows], False, q)
+        # D: row N, column s reads row N - shift, column s + delta.
+        shift, delta = k + l - 1, l - k - 1
+        if live >= shift:
+            lo = max(0, -delta)
+            first = min(lo + delta, c_km1.shape[2] - 1)
+            _update(out[:, shift : live + 1, lo:],
+                    c_km1[:, : live - shift + 1, first:], True, q)
 
 
 class PartitionTable:
@@ -205,21 +217,25 @@ class PartitionTable:
         estimate = estimate_table_bytes(params)
         if estimate > cap:
             raise MemoryBudgetError(estimate, cap)
-        M, K, target = params.max_sum, params.max_part, params.target_parts
-        tri = (M + 1) * (M + 2) // 2
+        planes = _planes(params)
+        if planes > len(_PRIMES):
+            raise ValueError(f"{planes} residue planes exceed the moduli")
+        q = None if planes == 1 else np.array(
+            _PRIMES[:planes], dtype=np.uint64).reshape(planes, 1, 1)
 
-        def fresh_slice() -> np.ndarray:
-            arr = np.zeros(tri, dtype=object)
-            arr[0] = 1
+        def fresh_slice(k: int) -> np.ndarray:
+            arr = np.zeros((planes, *_slice_shape(params, k)), np.uint64)
+            arr[:, 0] = 1
             return arr
 
         # Slice k = 0 is the same in every layer (1 at N = 0, else 0)
         # and is never written, so one array backs it everywhere.
-        shared0 = fresh_slice()
-        prev = [shared0] + [fresh_slice() for _ in range(K)]
-        cur = [shared0] + [fresh_slice() for _ in range(K)]
-        for l in range(1, target + 1):
-            _fill_layer(cur, prev, l, M, K)
+        shared0 = fresh_slice(0)
+        ks = range(1, params.max_part + 1)
+        prev = [shared0] + [fresh_slice(k) for k in ks]
+        cur = [shared0] + [fresh_slice(k) for k in ks]
+        for l in range(1, params.target_parts + 1):
+            _fill_layer(cur, prev, l, params.max_sum, q)
             if layer_visitor is not None:
                 layer_visitor(l, cls(replace(params, target_parts=l), cur))
             prev, cur = cur, prev
@@ -263,7 +279,11 @@ class PartitionTable:
 
     def _cell(self, N: int, k: int, s: int) -> int:
         """The stored value at clamped (N, k, s) of the held layer."""
-        return self._slices[k][N * (N + 1) // 2 + s]
+        cells = self._slices[k]
+        col = min(s, cells.shape[2] - 1)
+        if len(cells) == 1:
+            return int(cells[0, N, col])
+        return _crt(cells[:, N, col])
 
     def g_prime(self, N: int, k: int, l: int) -> int:
         """Count graphical partitions of N with exactly l parts, largest k.
@@ -349,6 +369,16 @@ class BoundedPartitionTable(PartitionTable):
                 f"(at most {2 * (l - 1)} for l={l})"
             )
         return super().g_prime(N, k, l)
+
+
+def _crt(residues) -> int:
+    """The integer below the product of the first len(residues) of
+    _PRIMES that has these residues modulo them (Garner's method)."""
+    value, modulus = 0, 1
+    for r, q in zip(residues, _PRIMES):
+        value += modulus * ((int(r) - value) * pow(modulus, -1, q) % q)
+        modulus *= q
+    return value
 
 
 _P_CACHE = [1]

@@ -1,8 +1,11 @@
 """Fixtures shared by the test modules."""
 
+import time
+
 import pytest
 
 from degseq import degree_counts
+from degseq.degree_counts import DnSeries, extend_series
 from degseq.partition_table import PartitionTable
 
 
@@ -33,3 +36,11 @@ def table_builds(monkeypatch, empty_memo):
 
     monkeypatch.setattr(PartitionTable, "build", classmethod(counted_build))
     return built
+
+
+@pytest.fixture(scope="session")
+def series_40():
+    """Exact d(1)..d(40) by the improved chain, with its build time."""
+    t0 = time.perf_counter()
+    series = extend_series(DnSeries(), 40)
+    return series, time.perf_counter() - t0

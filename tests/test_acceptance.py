@@ -24,14 +24,12 @@ from degseq.connectivity_counts import (
     count_s,
 )
 from degseq.degree_counts import (
-    DnSeries,
     count_by_largest,
     count_d0,
     count_d_basic,
     count_d_improved,
     count_h,
     count_l,
-    extend_series,
     profile,
 )
 from degseq.oracle import (
@@ -52,14 +50,6 @@ HOSTPROBE_PATH = os.path.join(
 def report(capsys, ok: bool, text: str) -> None:
     with capsys.disabled():
         print(f"\n[{'PASS' if ok else 'FAIL'}] {text}")
-
-
-@pytest.fixture(scope="session")
-def series_40():
-    """Exact d(1)..d(40) by the improved chain, with its build time."""
-    t0 = time.perf_counter()
-    series = extend_series(DnSeries(), 40)
-    return series, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,16 @@
 """Tests for the per-n counting routes and degree-sum profiles."""
 
+import dataclasses
+
 import pytest
 
+from degseq import partition_table
 from degseq.connectivity_counts import (
+    count_b,
+    count_d2_minus_b,
     count_db,
     count_dc_direct,
+    count_dc_indirect,
     count_dd,
     count_s,
 )
@@ -394,3 +400,58 @@ class TestSeriesFile:
         path.write_text("".join(f"{n} {v}\n" for n, v in enumerate(values, 1)))
         with pytest.raises(ValueError, match=rf"bfile\.txt: d\({bad_n}\) "):
             read_series_file(path)
+
+
+# d(31)..d(40) as the object-dtype fill computed them, in exact Python
+# ints.  Above n = 30 the values pass 2^62, so the table's residue
+# reductions and the CRT that combines its planes decide them.
+D_ABOVE_2_62 = {
+    31: 22974847399695092,
+    32: 89891104720825873,
+    33: 351942828583179792,
+    34: 1378799828613947813,
+    35: 5404903918269554894,
+    36: 21199115755295418925,
+    37: 83191147605571603932,
+    38: 326628272368541021429,
+    39: 1283028756692078957558,
+    40: 5042135487877970071891,
+}
+
+# Primes below 2^62 that share none of the table's moduli.
+OTHER_PRIMES = tuple(2**62 - c for c in (171, 195, 203, 273, 287, 317))
+
+
+class TestExactAbove2To62:
+    def test_series_matches_pinned_values(self, series_40):
+        series, _ = series_40
+        assert {n: series[n] for n in D_ABOVE_2_62} == D_ABOVE_2_62
+
+    def test_basic_route_on_prime_planes(self, empty_memo):
+        # Full height at 35 has max_part + target_parts = 67 > 64.
+        assert count_d_basic(35) == D_ABOVE_2_62[35]
+
+    def test_disjoint_moduli_give_the_same_series(
+        self, monkeypatch, series_40, empty_memo
+    ):
+        monkeypatch.setattr(partition_table, "_PRIMES", OTHER_PRIMES)
+        series = extend_series(DnSeries(), 36)
+        assert list(series.items()) == list(series_40[0].items())[:36]
+
+
+@pytest.mark.parametrize("n", [10, 35])
+def test_every_count_is_a_python_int(n, series_40):
+    """No numpy scalar leaks out: an np.uint64 would wrap in sums."""
+    series, _ = series_40
+    cells = [v for row in graphical_matrix(n).values() for v in row]
+    counts = [
+        count_d_basic(n), count_d_improved(n, series), count_d0(n, series),
+        count_h(n, series), count_l(n), count_dc_direct(n),
+        count_dc_indirect(n, series[n]), count_dd(n), count_s(n),
+        count_b(n, series), count_d2_minus_b(n),
+        *dataclasses.astuple(count_db(n, series, series[n])),
+        *count_by_largest(n).values(),
+        *(v for f in FAMILIES for v in profile(n, f).entries.values()),
+        *(profile(n, f).total() for f in FAMILIES),
+    ]
+    assert cells and all(type(v) is int for v in cells + counts)

@@ -7,7 +7,6 @@ transcription of the recurrence checks the vectorized layer fill.
 """
 
 import itertools
-import math
 import os
 import time
 
@@ -181,6 +180,8 @@ class TestStoredCellsAgainstBruteForce:
     @given(SHAPES)
     @example(TableParams(3, 6, 2))  # max_part > max_sum
     @example(TableParams(4, 2, 7))  # target_parts > max_sum
+    @example(TableParams(12, 40, 30))  # two prime planes
+    @example(TableParams(14, 30, 100))  # three prime planes
     def test_fill_matches_reference_on_random_shapes(self, params):
         assert_fill_matches_reference(params)
 
@@ -188,18 +189,24 @@ class TestStoredCellsAgainstBruteForce:
     @given(SHAPES)
     @example(TableParams(3, 6, 2))  # max_part > max_sum
     @example(TableParams(4, 2, 7))  # target_parts > max_sum
+    @example(TableParams(12, 40, 30))  # two prime planes
     def test_rows_above_k_times_l_stay_zero(self, params):
-        """The fill never clears a row, so rows N > k*l must stay zero."""
-        M = params.max_sum
+        """The fill never clears a row, so rows N > k*l must stay zero
+        in every plane and column of every slice."""
+        checked = []
 
         def visit(l, layer):
             for k, cells in enumerate(layer._slices):
-                top = k * l
-                if top < M:
-                    start = (top + 1) * (top + 2) // 2  # row top + 1
-                    assert not cells[start:].any(), (params, l, k)
+                above = cells[:, k * l + 1 :]
+                assert above.ndim == 3 and not above.any(), (params, l, k)
+                checked.append(above.size)
 
         PartitionTable.build(params, layer_visitor=visit)
+        # Slice 1 stores rows up to min(max_sum, target_parts), so
+        # layer 1 leaves rows above 1 to check when that reaches 2.
+        p = params
+        if p.max_part and min(p.max_sum, p.target_parts) >= 2:
+            assert any(checked), params
 
     def test_no_negative_cells(self, table_6):
         for N in range(13):
@@ -331,22 +338,6 @@ class TestFirstRowColumnBridge:
             table.g_prime(7, 3, 4)
 
 
-def exact_comb_estimate(params):
-    """estimate_table_bytes with each cell's int sized by the exact box
-    count C(max_part + target_parts, target_parts) rather than by its
-    bound 2^(max_part + target_parts)."""
-    M, K, L = params.max_sum, params.max_part, params.target_parts
-    slots = (1 + 2 * K) * (M + 1) * (M + 2) // 2
-    cells = 0
-    for k in range(1, K + 1):
-        rows, sat = min(M, k * L), (k + 1) * (k + 1) // 4
-        low = min(rows, sat)
-        cells += (low + 1) * (low + 2) // 2 + (rows - low) * (sat + 1)
-    int_bytes = 24 + 4 * -(-math.comb(K + L, L).bit_length() // 30)
-    per_cell = max(48, -(-int_bytes // 16) * 16)
-    return 8 * slots + 2 * per_cell * cells
-
-
 class TestMemoryBudget:
     def test_estimate_grows_with_dimensions(self):
         small = estimate_table_bytes(TableParams(10, 4, 4))
@@ -366,15 +357,27 @@ class TestMemoryBudget:
         need = estimate_table_bytes(params)
         PartitionTable.build(params, memory_cap=need)
 
-    def test_int_size_bound_is_exact_to_n91_and_never_lower(self):
-        for n in range(2, 301):
-            for full in (True, False):
-                params = _matrix_params(n, full)
-                exact = exact_comb_estimate(params)
-                got = estimate_table_bytes(params)
-                if n <= 91:
-                    assert got == exact, (n, full)
-                assert got >= exact, (n, full)
+    def test_estimate_covers_the_buffers_within_5_percent(self):
+        """The arrays of both rolling buffers, which alternate as the
+        layer views' slices, hold at most the estimate and at least
+        1/1.05 of it."""
+        shapes = [
+            _matrix_params(12, True),
+            _matrix_params(25, False),
+            _matrix_params(25, True),
+            TableParams(12, 40, 30),  # two prime planes
+            TableParams(14, 30, 100),  # three prime planes
+        ]
+        for params in shapes:
+            arrays = {}
+
+            def visit(l, layer):
+                arrays.update((id(a), a) for a in layer._slices)
+
+            PartitionTable.build(params, layer_visitor=visit)
+            held = sum(a.nbytes for a in arrays.values())
+            estimate = estimate_table_bytes(params)
+            assert held <= estimate <= 1.05 * held, (params, held, estimate)
 
     @pytest.mark.parametrize("full", [True, False])
     def test_huge_table_is_estimated_quickly(self, full):
