@@ -121,11 +121,8 @@ def estimate_table_bytes(params: TableParams) -> int:
     The sum runs over k, so a huge table is refused in time linear in
     max_part.
     """
-    cells = sum(
-        rows * cols
-        for rows, cols in (_slice_shape(params, k)
-                           for k in range(1, params.max_part + 1))
-    )
+    shapes = (_slice_shape(params, k) for k in range(1, params.max_part + 1))
+    cells = sum(rows * cols for rows, cols in shapes)
     return 8 * _planes(params) * (2 * cells + 1)
 
 
@@ -212,6 +209,8 @@ class PartitionTable:
 
         Raises:
             MemoryBudgetError: the estimated table size exceeds the cap.
+            ValueError: max_part + target_parts needs more residue
+                planes than there are fixed moduli (above 366).
         """
         cap = DEFAULT_MEMORY_CAP if memory_cap is None else memory_cap
         estimate = estimate_table_bytes(params)

@@ -403,8 +403,9 @@ class TestSeriesFile:
 
 
 # d(31)..d(40) as the object-dtype fill computed them, in exact Python
-# ints.  Above n = 30 the values pass 2^62, so the table's residue
-# reductions and the CRT that combines its planes decide them.
+# ints.  The series to 40 is one fill on two prime residue planes, and
+# from d(35) on the values pass 2^62, so the planes' reductions and the
+# CRT that combines them decide these values.
 D_ABOVE_2_62 = {
     31: 22974847399695092,
     32: 89891104720825873,

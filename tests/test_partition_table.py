@@ -95,9 +95,8 @@ def fill_layer_reference(cur, prev, l, off, max_sum, max_part):
 def reference_layer(params):
     """Run the reference fill on two rolling buffers.
 
-    Returns (the final layer, row offsets), in the packed layout of
-    PartitionTable: one flat list per k, row N at off[N] holding
-    s = 0..N.
+    Returns (the final layer, row offsets), in a packed layout of exact
+    Python ints: one flat list per k, row N at off[N] holding s = 0..N.
     """
     M, K, target = params.max_sum, params.max_part, params.target_parts
     off = [0] * (M + 2)
@@ -204,8 +203,7 @@ class TestStoredCellsAgainstBruteForce:
         PartitionTable.build(params, layer_visitor=visit)
         # Slice 1 stores rows up to min(max_sum, target_parts), so
         # layer 1 leaves rows above 1 to check when that reaches 2.
-        p = params
-        if p.max_part and min(p.max_sum, p.target_parts) >= 2:
+        if params.max_part and min(params.max_sum, params.target_parts) > 1:
             assert any(checked), params
 
     def test_no_negative_cells(self, table_6):
@@ -351,6 +349,11 @@ class TestMemoryBudget:
             PartitionTable.build(params, memory_cap=need - 1)
         assert err.value.estimated_bytes == need
         assert err.value.cap_bytes == need - 1
+
+    def test_more_planes_than_moduli_is_refused(self):
+        # max_part + target_parts = 400 needs 7 planes; there are 6 primes.
+        with pytest.raises(ValueError, match="residue planes"):
+            PartitionTable.build(TableParams(0, 200, 200))
 
     def test_cap_at_estimate_allows_build(self):
         params = TableParams(20, 4, 4)
