@@ -52,6 +52,7 @@ pentagonal-number recurrence.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -118,16 +119,20 @@ def estimate_table_bytes(params: TableParams) -> int:
 
     The two buffers each hold 8 bytes per plane for every cell of slices
     k = 1..max_part (_slice_shape); slice k = 0, one cell, is shared.
-    The sum runs over k, so a huge table is refused in time linear in
-    max_part.
+    Prime planes add one scratch array the size of slice max_part, the
+    largest.  The sum runs over k, so a huge table is refused in time
+    linear in max_part.
     """
-    shapes = (_slice_shape(params, k) for k in range(1, params.max_part + 1))
+    planes, K = _planes(params), params.max_part
+    shapes = (_slice_shape(params, k) for k in range(1, K + 1))
     cells = sum(rows * cols for rows, cols in shapes)
-    return 8 * _planes(params) * (2 * cells + 1)
+    scratch = math.prod(_slice_shape(params, K)) if planes > 1 else 0
+    return 8 * planes * (2 * cells + 1 + scratch)
 
 
-def _update(dst, src, add, q):
-    """dst += src (or -=, if not ``add``), modulo q unless q is None.
+def _update(dst, src, add, mod):
+    """dst += src (or -=, if not ``add``); with ``mod`` = (q, scratch),
+    modulo the primes q, reduced through the scratch array.
 
     Column j of dst takes column j of src, or src's last column where
     src is narrower: past its last column a slice is saturated in s.
@@ -137,11 +142,13 @@ def _update(dst, src, add, q):
     for d, s in ((dst[:, :, :n], src[:, :, :n]),
                  (dst[:, :, n:], src[:, :, n - 1 : n])):
         op(d, s, out=d)
-        if q is not None:  # back into [0, q): residues stay below 2^62
-            np.minimum(d, undo(d, q), out=d)
+        if mod is not None:  # back into [0, q): residues stay below 2^62
+            q, scratch = mod
+            t = scratch[: d.size].reshape(d.shape)
+            np.minimum(d, undo(d, q, out=t), out=d)
 
 
-def _fill_layer(cur, prev, l, max_sum, q):
+def _fill_layer(cur, prev, l, max_sum, mod):
     """Fill layer ``l`` into ``cur`` from layer ``l - 1`` in ``prev``.
 
     Slices k = 1..max_part are processed in order so the same-layer k-1
@@ -157,16 +164,16 @@ def _fill_layer(cur, prev, l, max_sum, q):
         live = min(M, k * l)
         out[:, : live + 1] = prev[k][:, : live + 1]
         rows = min(M, (k - 1) * l) + 1
-        _update(out[:, :rows], cur[k - 1][:, :rows], True, q)
+        _update(out[:, :rows], cur[k - 1][:, :rows], True, mod)
         rows = min(M, (k - 1) * (l - 1)) + 1
-        _update(out[:, :rows], c_km1[:, :rows], False, q)
+        _update(out[:, :rows], c_km1[:, :rows], False, mod)
         # D: row N, column s reads row N - shift, column s + delta.
         shift, delta = k + l - 1, l - k - 1
         if live >= shift:
             lo = max(0, -delta)
             first = min(lo + delta, c_km1.shape[2] - 1)
             _update(out[:, shift : live + 1, lo:],
-                    c_km1[:, : live - shift + 1, first:], True, q)
+                    c_km1[:, : live - shift + 1, first:], True, mod)
 
 
 class PartitionTable:
@@ -219,8 +226,11 @@ class PartitionTable:
         planes = _planes(params)
         if planes > len(_PRIMES):
             raise ValueError(f"{planes} residue planes exceed the moduli")
-        q = None if planes == 1 else np.array(
-            _PRIMES[:planes], dtype=np.uint64).reshape(planes, 1, 1)
+        mod = None
+        if planes > 1:
+            q = np.array(_PRIMES[:planes], np.uint64).reshape(planes, 1, 1)
+            top = math.prod(_slice_shape(params, params.max_part))
+            mod = q, np.empty(planes * top, np.uint64)
 
         def fresh_slice(k: int) -> np.ndarray:
             arr = np.zeros((planes, *_slice_shape(params, k)), np.uint64)
@@ -234,7 +244,7 @@ class PartitionTable:
         prev = [shared0] + [fresh_slice(k) for k in ks]
         cur = [shared0] + [fresh_slice(k) for k in ks]
         for l in range(1, params.target_parts + 1):
-            _fill_layer(cur, prev, l, params.max_sum, q)
+            _fill_layer(cur, prev, l, params.max_sum, mod)
             if layer_visitor is not None:
                 layer_visitor(l, cls(replace(params, target_parts=l), cur))
             prev, cur = cur, prev
