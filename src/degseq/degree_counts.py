@@ -302,10 +302,7 @@ def count_d0(n: int, prior: DnSeries) -> int:
         raise MissingPriorError(
             f"d0({n}) needs d(1)..d({n}), series holds up to d({prior.n_max})"
         )
-    total = 1
-    for i in range(2, n + 1):
-        total += prior[i]
-    return total
+    return 1 + sum(prior[i] for i in range(2, n + 1))
 
 
 def count_h(n: int, prior: DnSeries) -> int:

@@ -12,15 +12,19 @@ One pass over E(n) keeps a histogram of its graphical members by
 the oracle's counterpart of the dynamic program's graphical matrix.
 Every CountReport field is then a masked sum of that histogram, each
 with its own predicate in _FIELDS, so that every cross-module identity
-remains a genuine check.  Enumeration cost grows roughly fourfold per
-vertex, so a cap (default 14) guards against accidental huge runs.
+remains a genuine check.  Deciding a candidate costs one pass over it:
+builtin checks of order, sign and parity, then one loop up to the
+crossing index with running sums and no lists.  Enumeration cost grows
+roughly fourfold per vertex, so a cap (default 14) guards against
+accidental huge runs.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .degree_counts import SumProfile, _even_range
@@ -42,53 +46,38 @@ def enumerate_even_bounded(n: int) -> Iterator[tuple]:
     return (seq for seq in tuples if not sum(seq) % 2)
 
 
-def _validate(seq) -> int:
-    total = 0
-    prev = None
-    for d in seq:
-        if d < 0:
-            raise ValueError("degrees are nonnegative")
-        if prev is not None and d > prev:
-            raise ValueError("sequence must be non-increasing")
-        prev = d
-        total += d
-    if total % 2:
+def _validate(seq) -> None:
+    if any(map(operator.lt, seq, seq[1:])):
+        raise ValueError("sequence must be non-increasing")
+    if seq and seq[-1] < 0:
+        raise ValueError("degrees are nonnegative")
+    if sum(seq) % 2:
         raise ValueError("degree sum must be even")
-    return total
 
 
 def is_graphical_eg(seq) -> bool:
-    """Graphicality by the sum-prefix inequalities, linear total work.
+    """Graphicality by the sum-prefix inequalities, in one pass.
 
     For each k up to the crossing index m = max{i : d_i >= i}, checks
     sum of the k largest degrees <= k(k-1) + sum over the rest of
-    min(d_i, k); inequalities beyond m hold automatically.
+    min(d_i, k); inequalities beyond m hold automatically.  With r the
+    number of terms >= k (r >= k while d_k >= k) and lows the sum of the
+    terms below k, the right side is k(k-1) + k(r-k) + lows, that is
+    k(r-1) + lows; r only falls as k grows.
 
     Raises:
         ValueError: sequence not non-increasing, negative, or odd sum.
     """
-    total = _validate(seq)
-    n = len(seq)
-    if n == 0 or seq[0] == 0:
-        return True
-    cnt = [0] * (n + 2)
-    for d in seq:
-        cnt[min(d, n)] += 1
-    r = [0] * (n + 2)  # r[v] = number of terms >= v
-    for v in range(n, -1, -1):
-        r[v] = r[v + 1] + cnt[v]
-    prefix = [0] + list(accumulate(seq))
-    m = 0
-    for i, d in enumerate(seq):
-        if d >= i + 1:
-            m = i + 1
-        else:
+    _validate(seq)
+    prefix, lows, r = 0, 0, len(seq)
+    for k, d in enumerate(seq, 1):
+        if d < k:
             break
-    for k in range(1, m + 1):
-        rk = r[k]
-        # first k terms all >= k here, so rk >= k
-        rhs = k * (k - 1) + k * (rk - k) + total - prefix[rk]
-        if prefix[k] > rhs:
+        prefix += d
+        while seq[r - 1] < k:
+            r -= 1
+            lows += seq[r]
+        if prefix > k * (r - 1) + lows:
             return False
     return True
 
@@ -104,20 +93,13 @@ def is_graphical_nw(seq) -> bool:
         ValueError: as is_graphical_eg.
     """
     _validate(seq)
-    n = len(seq)
-    if n == 0 or seq[0] == 0:
-        return True
-    cnt = [0] * (n + 2)
-    for d in seq:
-        cnt[min(d, n)] += 1
-    r = [0] * (n + 2)
-    for v in range(n, -1, -1):
-        r[v] = r[v + 1] + cnt[v]
-    run = 0
-    for j in range(1, n + 1):
-        if seq[j - 1] < j:
+    run, conj = 0, len(seq)
+    for j, d in enumerate(seq, 1):
+        if d < j:
             break
-        run += r[j] - seq[j - 1]
+        while seq[conj - 1] < j:
+            conj -= 1
+        run += conj - d
         if run < j:
             return False
     return True

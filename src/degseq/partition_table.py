@@ -52,6 +52,7 @@ pentagonal-number recurrence.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -114,18 +115,38 @@ def _slice_shape(params: TableParams, k: int) -> tuple:
             min((k + 1) * (k + 1) // 4, M) + 1)
 
 
+def _power_sums(x: int) -> tuple:
+    """Sums over k = 1..x of 1, k, g(k) and k*g(k), g(k) = (k+1)^2 // 4,
+    in closed form: with j = k + 1, g = (j^2 - j % 2) / 4."""
+    j, odd = x + 1, (x + 2) // 2  # odd: how many odd j in 1..x+1
+    s1 = j * (j + 1) // 2
+    s2 = s1 * (2 * j + 1) // 3
+    kg = (s1 * s1 - s2 - odd * (odd - 1)) // 4
+    return x, x * (x + 1) // 2, (s2 - odd) // 4, kg
+
+
 def estimate_table_bytes(params: TableParams) -> int:
     """Estimated peak memory of a full table build, in bytes.
 
     The two buffers each hold 8 bytes per plane for every cell of slices
     k = 1..max_part (_slice_shape); slice k = 0, one cell, is shared.
     Prime planes add one scratch array the size of slice max_part, the
-    largest.  The sum runs over k, so a huge table is refused in time
-    linear in max_part.
+    largest.  Slice k has k*L + 1 rows up to the last k with k*L <= M,
+    then M + 1, and g(k) + 1 columns up to the last k with g(k) <= M,
+    then M + 1; summed in closed form between those two k, so even a
+    huge table is refused in constant time.
     """
-    planes, K = _planes(params), params.max_part
-    shapes = (_slice_shape(params, k) for k in range(1, K + 1))
-    cells = sum(rows * cols for rows, cols in shapes)
+    planes, M = _planes(params), params.max_sum
+    K, L = params.max_part, params.target_parts
+    k_rows = K if L == 0 else min(K, M // L)
+    k_cols = min(K, math.isqrt(4 * M + 3) - 1)
+    cells, lo = 0, 0
+    for hi in sorted({k_rows, k_cols, K}):
+        r1, r0 = (L, 1) if hi <= k_rows else (0, M + 1)
+        c1, c0 = (1, 1) if hi <= k_cols else (0, M + 1)
+        s = [b - a for a, b in zip(_power_sums(lo), _power_sums(hi))]
+        cells += (r0 * s[0] + r1 * s[1]) * c0 + (r0 * s[2] + r1 * s[3]) * c1
+        lo = hi
     scratch = math.prod(_slice_shape(params, K)) if planes > 1 else 0
     return 8 * planes * (2 * cells + 1 + scratch)
 
@@ -292,7 +313,8 @@ class PartitionTable:
         col = min(s, cells.shape[2] - 1)
         if len(cells) == 1:
             return int(cells[0, N, col])
-        return _crt(cells[:, N, col])
+        P, basis = _crt_basis(_PRIMES[: len(cells)])
+        return sum(map(int.__mul__, cells[:, N, col].tolist(), basis)) % P
 
     def g_prime(self, N: int, k: int, l: int) -> int:
         """Count graphical partitions of N with exactly l parts, largest k.
@@ -380,14 +402,13 @@ class BoundedPartitionTable(PartitionTable):
         return super().g_prime(N, k, l)
 
 
-def _crt(residues) -> int:
-    """The integer below the product of the first len(residues) of
-    _PRIMES that has these residues modulo them (Garner's method)."""
-    value, modulus = 0, 1
-    for r, q in zip(residues, _PRIMES):
-        value += modulus * ((int(r) - value) * pow(modulus, -1, q) % q)
-        modulus *= q
-    return value
+@functools.lru_cache
+def _crt_basis(primes: tuple) -> tuple:
+    """The primes' product P, and per prime q the integer 1 mod q and 0
+    mod every other prime, (P/q) times the inverse of P/q mod q: the
+    residues r_q of a cell below P give it as sum(r_q * basis_q) % P."""
+    P = math.prod(primes)
+    return P, tuple(P // q * pow(P // q, -1, q) for q in primes)
 
 
 _P_CACHE = [1]

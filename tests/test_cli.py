@@ -1,7 +1,13 @@
 """End-to-end tests of the command-line interface via main()."""
 
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
+import degseq
 from degseq import degree_counts
 from degseq.cli import QUANTITIES, main
 from degseq.degree_counts import DnSeries, _matrix_params, count_d_basic
@@ -264,6 +270,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert "cap" in err
+
+    def test_huge_n_is_refused_within_two_seconds(self):
+        # A fresh interpreter, so the time covers start-up and imports;
+        # the refusal needs only the table's memory estimate.
+        src = os.path.dirname(os.path.dirname(degseq.__file__))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from degseq.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "count", "--quantity", "d", "--n", "10000000"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, proc.stderr
+        assert "cap" in proc.stderr
+        assert elapsed < 2.0
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_memory_cap_must_be_positive(self, capsys, cap):

@@ -1,6 +1,8 @@
 """Tests for the brute-force enumeration oracle."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degseq import oracle
 from degseq.degree_counts import DnSeries, extend_series
@@ -56,6 +58,26 @@ class TestEnumeration:
             list(enumerate_even_bounded(1))
 
 
+CHECKERS = [is_graphical_eg, is_graphical_nw]
+
+# Non-increasing sequences with zeros, length up to 30 and terms up to a
+# drawn cap of at most 40: a low cap keeps many of them near the
+# graphical boundary, where a uniform draw up to 40 rarely lands.
+NONINCREASING = st.integers(0, 40).flatmap(
+    lambda cap: st.lists(st.integers(0, cap), max_size=30)
+).map(lambda terms: sorted(terms, reverse=True))
+
+
+def textbook_eg(seq):
+    """Erdős–Gallai as stated, for a non-increasing even-sum sequence:
+    for every k = 1..n, the k largest terms sum to at most
+    k(k - 1) + sum of min(d_i, k) over the other terms."""
+    return all(
+        sum(seq[:k]) <= k * (k - 1) + sum(min(d, k) for d in seq[k:])
+        for k in range(1, len(seq) + 1)
+    )
+
+
 class TestGraphicalityCriteria:
     def test_eg_examples(self):
         assert is_graphical_eg((3, 3, 1, 1)) is False
@@ -81,6 +103,44 @@ class TestGraphicalityCriteria:
     def test_rejects_negative_terms(self, checker):
         with pytest.raises(ValueError):
             checker((1, -1))
+
+    @pytest.mark.parametrize("checker", CHECKERS)
+    @pytest.mark.parametrize(
+        "seq", [(1, 2, 1), (-1, 1), (1, -1), (2, 1), (0, -2)]
+    )
+    def test_rejects_invalid_tuples_and_lists(self, checker, seq):
+        # Unsorted, unsorted and negative, negative last, odd sum, and
+        # negative after a zero.
+        with pytest.raises(ValueError):
+            checker(seq)
+        with pytest.raises(ValueError):
+            checker(list(seq))
+
+    @pytest.mark.parametrize("checker", CHECKERS)
+    @pytest.mark.parametrize("seq", [(), (0,), (0, 0, 0, 0)])
+    def test_empty_and_all_zero_are_graphical(self, checker, seq):
+        assert checker(seq) is True
+        assert checker(list(seq)) is True
+
+    @settings(max_examples=300)
+    @given(NONINCREASING)
+    @example([])
+    @example([0, 0])
+    @example([3, 3, 3, 3])  # K4
+    @example([4, 4, 4, 4])  # a term above n - 1
+    @example([2, 2, 2, 1, 1, 0])
+    @example([4, 4, 2, 1, 1])  # first fails at k = 2
+    def test_criteria_match_the_textbook_statement(self, seq):
+        """Both tests agree with Erdős–Gallai as stated, every k = 1..n,
+        on sequences with zeros and terms above n - 1, which E(n) never
+        holds, as tuples and as lists."""
+        for checker in CHECKERS:
+            for form in (tuple(seq), list(seq)):
+                if sum(seq) % 2:
+                    with pytest.raises(ValueError):
+                        checker(form)
+                else:
+                    assert checker(form) is textbook_eg(seq), (checker, seq)
 
     def test_criteria_agree_exhaustively(self):
         for n in range(2, 9):

@@ -7,6 +7,7 @@ transcription of the recurrence checks the vectorized layer fill.
 """
 
 import itertools
+import math
 import os
 import time
 
@@ -21,6 +22,8 @@ from degseq.partition_table import (
     BoundedPartitionTable,
     PartitionTable,
     TableParams,
+    _planes,
+    _slice_shape,
     estimate_table_bytes,
     unrestricted_p,
 )
@@ -336,6 +339,24 @@ class TestFirstRowColumnBridge:
             table.g_prime(7, 3, 4)
 
 
+# Shapes with every ordering of the row and column thresholds k*L <= M
+# and (k+1)^2 // 4 <= M against max_part.
+WIDE_SHAPES = st.builds(
+    TableParams,
+    max_sum=st.integers(0, 5000),
+    max_part=st.integers(0, 400),
+    target_parts=st.integers(0, 400),
+)
+
+
+def loop_estimate(params):
+    """estimate_table_bytes as a sum over every part bound k."""
+    planes, K = _planes(params), params.max_part
+    cells = sum(math.prod(_slice_shape(params, k)) for k in range(1, K + 1))
+    scratch = math.prod(_slice_shape(params, K)) if planes > 1 else 0
+    return 8 * planes * (2 * cells + 1 + scratch)
+
+
 class TestMemoryBudget:
     def test_estimate_grows_with_dimensions(self):
         small = estimate_table_bytes(TableParams(10, 4, 4))
@@ -381,6 +402,22 @@ class TestMemoryBudget:
             held = sum(a.nbytes for a in arrays.values())
             estimate = estimate_table_bytes(params)
             assert held <= estimate <= 1.05 * held, (params, held, estimate)
+
+    def test_closed_form_matches_the_loop_over_k(self):
+        for n in range(1, 301):
+            for full in (True, False):
+                params = _matrix_params(n, full)
+                assert estimate_table_bytes(params) == (
+                    loop_estimate(params)
+                ), params
+
+    @given(SHAPES | WIDE_SHAPES)
+    @example(TableParams(0, 5, 5))
+    @example(TableParams(7, 0, 3))
+    @example(TableParams(9, 4, 0))
+    @example(TableParams(14, 30, 100))  # three prime planes
+    def test_closed_form_matches_the_loop_on_random_shapes(self, params):
+        assert estimate_table_bytes(params) == loop_estimate(params)
 
     @pytest.mark.parametrize("full", [True, False])
     def test_huge_table_is_estimated_quickly(self, full):
