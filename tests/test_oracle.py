@@ -124,8 +124,6 @@ class TestGraphicalityCriteria:
 
     @settings(max_examples=300)
     @given(NONINCREASING)
-    @example([])
-    @example([0, 0])
     @example([3, 3, 3, 3])  # K4
     @example([4, 4, 4, 4])  # a term above n - 1
     @example([2, 2, 2, 1, 1, 0])
