@@ -34,14 +34,15 @@ clamp chain; they differ only in how they fill it and read one cell:
     takes column min(s, S_k).  Columns s > N need no special case: every
     partition of N passes the test for s >= N, so the recurrence fills
     them with the s = N value.  A layer is a few 2-D strided operations
-    per slice, with no loop over N.  No cell exceeds the partitions
-    fitting a k x l box, C(K+L, L) < 2^(K+L), so for K + L <= 64 one
-    plane wrapping mod 2^64 holds every cell exactly; larger tables
-    hold ceil((K+L)/61) planes modulo fixed primes below 2^62, whose
-    product exceeds 2^(K+L), and a read combines them by the Chinese
-    remainder theorem.  This is the workhorse for degree-sequence
-    counts.  This module alone knows that layout: a fill's visitor and
-    every reader get a table.
+    per slice, with no loop over N, written over layer l - 1 in place:
+    only the old slices k - 1 and k are kept aside meanwhile.  No cell
+    exceeds the partitions fitting a k x l box, C(K+L, L) < 2^(K+L), so
+    for K + L <= 64 one plane wrapping mod 2^64 holds every cell
+    exactly; larger tables hold ceil((K+L)/61) planes modulo fixed
+    primes below 2^62, whose product exceeds 2^(K+L), and a read
+    combines them by the Chinese remainder theorem.  This is the
+    workhorse for degree-sequence counts.  This module alone knows that
+    layout: a fill's visitor and every reader get a table.
   * :class:`BoundedPartitionTable` stores only the s-saturated surface
     s >= N, one array over N per k, which is all the disconnected-count
     path ever reads, and keeps the whole fill cubic in the vertex count.
@@ -128,13 +129,14 @@ def _power_sums(x: int) -> tuple:
 def estimate_table_bytes(params: TableParams) -> int:
     """Estimated peak memory of a full table build, in bytes.
 
-    The two buffers each hold 8 bytes per plane for every cell of slices
-    k = 1..max_part (_slice_shape); slice k = 0, one cell, is shared.
-    Prime planes add one scratch array the size of slice max_part, the
-    largest.  Slice k has k*L + 1 rows up to the last k with k*L <= M,
-    then M + 1, and g(k) + 1 columns up to the last k with g(k) <= M,
-    then M + 1; summed in closed form between those two k, so even a
-    huge table is refused in constant time.
+    The table holds 8 bytes per plane for every cell of slices
+    k = 0..max_part (_slice_shape), slice 0 being one cell, plus two
+    save arrays the size of slice max_part, the largest; prime planes
+    add one scratch array of that size too.  Slice k has k*L + 1 rows
+    up to the last k with k*L <= M, then M + 1, and g(k) + 1 columns up
+    to the last k with g(k) <= M, then M + 1; summed in closed form
+    between those two k, so even a huge table is refused in constant
+    time.
     """
     planes, M = _planes(params), params.max_sum
     K, L = params.max_part, params.target_parts
@@ -147,8 +149,9 @@ def estimate_table_bytes(params: TableParams) -> int:
         s = [b - a for a, b in zip(_power_sums(lo), _power_sums(hi))]
         cells += (r0 * s[0] + r1 * s[1]) * c0 + (r0 * s[2] + r1 * s[3]) * c1
         lo = hi
-    scratch = math.prod(_slice_shape(params, K)) if planes > 1 else 0
-    return 8 * planes * (2 * cells + 1 + scratch)
+    largest = math.prod(_slice_shape(params, K))
+    scratch = largest if planes > 1 else 0
+    return 8 * planes * (cells + 1 + 2 * largest + scratch)
 
 
 def _update(dst, src, add, mod):
@@ -169,32 +172,40 @@ def _update(dst, src, add, mod):
             np.minimum(d, undo(d, q, out=t), out=d)
 
 
-def _fill_layer(cur, prev, l, max_sum, mod):
-    """Fill layer ``l`` into ``cur`` from layer ``l - 1`` in ``prev``.
+def _fill_layer(slices, saves, l, max_sum, mod):
+    """Fill layer ``l`` into ``slices``, which hold layer ``l - 1``.
 
-    Slices k = 1..max_part are processed in order so the same-layer k-1
-    operand is ready; slice 0 (1 at N = 0) is shared and never written.
-    Slice k is written on its live rows 0..min(max_sum, k*l) only; the
-    rows above stay zero without being cleared, because a buffer only
-    ever holds layers of one parity and layer l - 2 wrote no row above
-    k*(l - 2).  Each operand is read only on rows it can hold nonzero.
+    Slices k = 1..max_part are updated in place in order, so the new
+    slice k-1 is ready when slice k needs it; before slice k is written,
+    its old live rows are copied to the save array of parity k % 2,
+    where slice k+1 reads them as the old slice k.  Slice 0 (1 at N = 0)
+    is the same in every layer and never written.  Slice k is written
+    on its live rows 0..min(max_sum, k*l) only; the rows above stay zero
+    without being cleared, because layer l - 1 wrote no row above
+    k*(l - 1).  Each operand is read only on rows it can hold nonzero,
+    so the old slice k-1 is read only on rows its save holds.
     """
-    M = max_sum
-    for k in range(1, len(cur)):
-        out, c_km1 = cur[k], prev[k - 1]
+    M, old_km1 = max_sum, slices[0]
+    for k in range(1, len(slices)):
+        out = slices[k]
+        planes, _, cols = out.shape
+        rows = min(M, k * (l - 1)) + 1
+        old_k = saves[k % 2][: planes * rows * cols]
+        old_k = old_k.reshape(planes, rows, cols)
+        np.copyto(old_k, out[:, :rows])
         live = min(M, k * l)
-        out[:, : live + 1] = prev[k][:, : live + 1]
         rows = min(M, (k - 1) * l) + 1
-        _update(out[:, :rows], cur[k - 1][:, :rows], True, mod)
+        _update(out[:, :rows], slices[k - 1][:, :rows], True, mod)
         rows = min(M, (k - 1) * (l - 1)) + 1
-        _update(out[:, :rows], c_km1[:, :rows], False, mod)
+        _update(out[:, :rows], old_km1[:, :rows], False, mod)
         # D: row N, column s reads row N - shift, column s + delta.
         shift, delta = k + l - 1, l - k - 1
         if live >= shift:
             lo = max(0, -delta)
-            first = min(lo + delta, c_km1.shape[2] - 1)
+            first = min(lo + delta, old_km1.shape[2] - 1)
             _update(out[:, shift : live + 1, lo:],
-                    c_km1[:, : live - shift + 1, first:], True, mod)
+                    old_km1[:, : live - shift + 1, first:], True, mod)
+        old_km1 = old_k
 
 
 class PartitionTable:
@@ -230,10 +241,10 @@ class PartitionTable:
                 defaults to DEFAULT_MEMORY_CAP, seven eighths of the
                 machine's physical memory.
             layer_visitor: optional callback invoked as visitor(l, layer)
-                after each layer l >= 1 is filled, before the buffers
-                roll.  ``layer`` is a read-only view of layer l, a table
-                with target_parts = l, valid only until the visitor
-                returns: the fill then overwrites its buffers.
+                after each layer l >= 1 is filled, before layer l + 1.
+                ``layer`` is a read-only view of layer l, a table with
+                target_parts = l, valid only until the visitor returns:
+                the fill then overwrites its slices in place.
 
         Raises:
             MemoryBudgetError: the estimated table size exceeds the cap.
@@ -247,29 +258,21 @@ class PartitionTable:
         planes = _planes(params)
         if planes > len(_PRIMES):
             raise ValueError(f"{planes} residue planes exceed the moduli")
+        top = math.prod(_slice_shape(params, params.max_part))
         mod = None
         if planes > 1:
             q = np.array(_PRIMES[:planes], np.uint64).reshape(planes, 1, 1)
-            top = math.prod(_slice_shape(params, params.max_part))
             mod = q, np.empty(planes * top, np.uint64)
-
-        def fresh_slice(k: int) -> np.ndarray:
-            arr = np.zeros((planes, *_slice_shape(params, k)), np.uint64)
-            arr[:, 0] = 1
-            return arr
-
-        # Slice k = 0 is the same in every layer (1 at N = 0, else 0)
-        # and is never written, so one array backs it everywhere.
-        shared0 = fresh_slice(0)
-        ks = range(1, params.max_part + 1)
-        prev = [shared0] + [fresh_slice(k) for k in ks]
-        cur = [shared0] + [fresh_slice(k) for k in ks]
+        saves = [np.empty(planes * top, np.uint64) for _ in range(2)]
+        slices = [np.zeros((planes, *_slice_shape(params, k)), np.uint64)
+                  for k in range(params.max_part + 1)]
+        for cells in slices:
+            cells[:, 0] = 1  # layer 0: the empty partition of N = 0
         for l in range(1, params.target_parts + 1):
-            _fill_layer(cur, prev, l, params.max_sum, mod)
+            _fill_layer(slices, saves, l, params.max_sum, mod)
             if layer_visitor is not None:
-                layer_visitor(l, cls(replace(params, target_parts=l), cur))
-            prev, cur = cur, prev
-        return cls(params, prev)
+                layer_visitor(l, cls(replace(params, target_parts=l), slices))
+        return cls(params, slices)
 
     def query_raw(self, N: int, k: int, l: int, s: int) -> int:
         """Return the cell value with the full clamp chain applied.
