@@ -123,16 +123,10 @@ def reference_layers(params):
         yield l, prev, off
 
 
-def reference_layer(params):
-    """The final layer of reference_layers and its row offsets."""
-    *_, (_, layer, off) = reference_layers(params)
-    return layer, off
-
-
 def assert_fill_matches_reference(params):
     """Every stored cell of the held layer equals the reference."""
     table = PartitionTable.build(params)
-    ref, off = reference_layer(params)
+    *_, (_, ref, off) = reference_layers(params)
     l = params.target_parts
     for N in range(params.max_sum + 1):
         for k in range(params.max_part + 1):
