@@ -154,58 +154,61 @@ def estimate_table_bytes(params: TableParams) -> int:
     return 8 * planes * (cells + 1 + 2 * largest + scratch)
 
 
-def _update(dst, src, add, mod):
-    """dst += src (or -=, if not ``add``); with ``mod`` = (q, scratch),
-    modulo the primes q, reduced through the scratch array.
+def _update(dst, src, mod):
+    """dst += src; with ``mod`` = (q, scratch), modulo the primes q,
+    reduced through the scratch array.
 
     Column j of dst takes column j of src, or src's last column where
     src is narrower: past its last column a slice is saturated in s.
     """
-    op, undo = (np.add, np.subtract) if add else (np.subtract, np.add)
     n = min(dst.shape[2], src.shape[2])
     for d, s in ((dst[:, :, :n], src[:, :, :n]),
                  (dst[:, :, n:], src[:, :, n - 1 : n])):
-        op(d, s, out=d)
+        np.add(d, s, out=d)
         if mod is not None:  # back into [0, q): residues stay below 2^62
             q, scratch = mod
             t = scratch[: d.size].reshape(d.shape)
-            np.minimum(d, undo(d, q, out=t), out=d)
+            np.minimum(d, np.subtract(d, q, out=t), out=d)
 
 
-def _fill_layer(slices, saves, l, max_sum, mod):
+def _fill_layer(slices, save, diff, l, max_sum, mod):
     """Fill layer ``l`` into ``slices``, which hold layer ``l - 1``.
 
-    Slices k = 1..max_part are updated in place in order, so the new
-    slice k-1 is ready when slice k needs it; before slice k is written,
-    its old live rows are copied to the save array of parity k % 2,
-    where slice k+1 reads them as the old slice k.  Slice 0 (1 at N = 0)
-    is the same in every layer and never written.  Slice k is written
-    on its live rows 0..min(max_sum, k*l) only; the rows above stay zero
-    without being cleared, because layer l - 1 wrote no row above
-    k*(l - 1).  Each operand is read only on rows it can hold nonzero,
-    so the old slice k-1 is read only on rows its save holds.
+    The recurrence telescopes in k: new slice k minus old slice k is
+    Delta_k = Delta_{k-1} + D, the D term read from the old slice k-1.
+    Slices k = 1..max_part are updated in place in order, each by
+    ``slice += Delta_k``, with Delta_k carried in ``diff``, an array
+    shaped like the largest slice and read through slice k's shape.
+    Delta_0 is zero: slice 0 (1 at N = 0) is the same in every layer
+    and never written.  Widening Delta_{k-1} to slice k clears its rows
+    (k-1)*l+1 .. k*l, zero in both layers but still holding the last
+    layer's differences, and copies its last column, past which both
+    slices k-1 are saturated in s, into the further columns.  Once the D
+    term has read the old slice k-1 from ``save``, slice k's old live
+    rows 0..min(max_sum, k*(l - 1)) are copied there, and only then is
+    slice k written, on rows 0..min(max_sum, k*l); the rows above stay
+    zero without being cleared, because layer l - 1 wrote none of them.
     """
     M, old_km1 = max_sum, slices[0]
+    diff[:, 0, 0] = 0
     for k in range(1, len(slices)):
         out = slices[k]
         planes, _, cols = out.shape
-        rows = min(M, k * (l - 1)) + 1
-        old_k = saves[k % 2][: planes * rows * cols]
-        old_k = old_k.reshape(planes, rows, cols)
-        np.copyto(old_k, out[:, :rows])
-        live = min(M, k * l)
-        rows = min(M, (k - 1) * l) + 1
-        _update(out[:, :rows], slices[k - 1][:, :rows], True, mod)
-        rows = min(M, (k - 1) * (l - 1)) + 1
-        _update(out[:, :rows], old_km1[:, :rows], False, mod)
+        width, live = old_km1.shape[2], min(M, k * l)
+        d, top = diff[:, : live + 1, :cols], min(M, (k - 1) * l) + 1
+        d[:, top:] = 0
+        d[:, :top, width:] = d[:, :top, width - 1 : width]
         # D: row N, column s reads row N - shift, column s + delta.
         shift, delta = k + l - 1, l - k - 1
         if live >= shift:
             lo = max(0, -delta)
-            first = min(lo + delta, old_km1.shape[2] - 1)
-            _update(out[:, shift : live + 1, lo:],
-                    old_km1[:, : live - shift + 1, first:], True, mod)
-        old_km1 = old_k
+            first = min(lo + delta, width - 1)
+            src = old_km1[:, : live - shift + 1, first:]
+            _update(d[:, shift:, lo:], src, mod)
+        rows = min(M, k * (l - 1)) + 1
+        old_km1 = save[: planes * rows * cols].reshape(planes, rows, cols)
+        np.copyto(old_km1, out[:, :rows])
+        _update(out[:, : live + 1], d, mod)
 
 
 class PartitionTable:
@@ -258,18 +261,19 @@ class PartitionTable:
         planes = _planes(params)
         if planes > len(_PRIMES):
             raise ValueError(f"{planes} residue planes exceed the moduli")
-        top = math.prod(_slice_shape(params, params.max_part))
+        top = (planes, *_slice_shape(params, params.max_part))
         mod = None
         if planes > 1:
             q = np.array(_PRIMES[:planes], np.uint64).reshape(planes, 1, 1)
-            mod = q, np.empty(planes * top, np.uint64)
-        saves = [np.empty(planes * top, np.uint64) for _ in range(2)]
+            mod = q, np.empty(math.prod(top), np.uint64)
+        save = np.empty(math.prod(top), np.uint64)
+        diff = np.empty(top, np.uint64)
         slices = [np.zeros((planes, *_slice_shape(params, k)), np.uint64)
                   for k in range(params.max_part + 1)]
         for cells in slices:
             cells[:, 0] = 1  # layer 0: the empty partition of N = 0
         for l in range(1, params.target_parts + 1):
-            _fill_layer(slices, saves, l, params.max_sum, mod)
+            _fill_layer(slices, save, diff, l, params.max_sum, mod)
             if layer_visitor is not None:
                 layer_visitor(l, cls(replace(params, target_parts=l), slices))
         return cls(params, slices)

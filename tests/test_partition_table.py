@@ -13,10 +13,12 @@ import time
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from degseq import partition_table
 from degseq.degree_counts import _matrix_params
 from degseq.errors import LayerNotResidentError, MemoryBudgetError
 from degseq.partition_table import (
@@ -24,6 +26,7 @@ from degseq.partition_table import (
     BoundedPartitionTable,
     PartitionTable,
     TableParams,
+    _PRIMES,
     _planes,
     _slice_shape,
     estimate_table_bytes,
@@ -188,6 +191,9 @@ class TestStoredCellsAgainstBruteForce:
     @example(TableParams(4, 2, 7))  # target_parts > max_sum
     @example(TableParams(12, 40, 30))  # two prime planes
     @example(TableParams(14, 30, 100))  # three prime planes
+    # Two planes; columns widen up to k = 11, rows are capped from k = 2.
+    @example(TableParams(40, 36, 30))
+    @example(TableParams(12, 3, 8))  # target_parts far above max_part
     def test_fill_matches_reference_on_random_shapes(self, params):
         assert_fill_matches_reference(params)
 
@@ -212,6 +218,31 @@ class TestStoredCellsAgainstBruteForce:
         # layer 1 leaves rows above 1 to check when that reaches 2.
         if params.max_part and min(params.max_sum, params.target_parts) > 1:
             assert any(checked), params
+
+    @pytest.mark.parametrize("primes", [_PRIMES, (7, 11, 13)],
+                             ids=["fixed", "small"])
+    @pytest.mark.parametrize(
+        "params", [TableParams(12, 40, 30), TableParams(14, 30, 100)]
+    )
+    def test_residues_stay_below_their_primes(self, params, primes,
+                                              monkeypatch):
+        """After every layer each stored residue of plane i is below
+        primes[i].  The cells of these tables stay far below the fixed
+        primes, so small primes make the fill reduce, and a sum it leaves
+        unreduced shows at once."""
+        monkeypatch.setattr(partition_table, "_PRIMES", primes)
+        planes = _planes(params)
+        assert planes > 1
+        q = np.array(primes[:planes], np.uint64).reshape(planes, 1, 1)
+        checked = []
+
+        def visit(l, layer):
+            for k, cells in enumerate(layer._slices):
+                assert (cells < q).all(), (params, l, k)
+            checked.append(l)
+
+        PartitionTable.build(params, layer_visitor=visit)
+        assert checked == list(range(1, params.target_parts + 1))
 
     def test_no_negative_cells(self, table_6):
         for N in range(13):
