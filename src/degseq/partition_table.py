@@ -33,16 +33,18 @@ clamp chain; they differ only in how they fill it and read one cell:
     of a partition with parts <= k never exceeds j*(k+1-j)), so a read
     takes column min(s, S_k).  Columns s > N need no special case: every
     partition of N passes the test for s >= N, so the recurrence fills
-    them with the s = N value.  A layer is a few 2-D strided operations
-    per slice, with no loop over N, written over layer l - 1 in place:
-    only the old slices k - 1 and k are kept aside meanwhile.  No cell
-    exceeds the partitions fitting a k x l box, C(K+L, L) < 2^(K+L), so
-    for K + L <= 64 one plane wrapping mod 2^64 holds every cell
-    exactly; larger tables hold ceil((K+L)/61) planes modulo fixed
-    primes below 2^62, whose product exceeds 2^(K+L), and a read
-    combines them by the Chinese remainder theorem.  This is the
-    workhorse for degree-sequence counts.  This module alone knows that
-    layout: a fill's visitor and every reader get a table.
+    them with the s = N value.  A layer is written over layer l - 1 in
+    place, with no loop over N: new minus old slice k telescopes to new
+    minus old slice k - 1 plus D, so one running difference carried
+    from slice to slice and one saved old slice give each slice in two
+    full passes and the D term.  No cell exceeds the partitions fitting
+    a k x l box, C(K+L, L) < 2^(K+L), so for K + L <= 64 one plane
+    wrapping mod 2^64 holds every cell exactly; larger tables hold
+    ceil((K+L)/61) planes modulo fixed primes below 2^62, whose product
+    exceeds 2^(K+L), and a read combines them by the Chinese remainder
+    theorem.  This is the workhorse for degree-sequence counts.  This
+    module alone knows that layout: a fill's visitor and every reader
+    get a table.
   * :class:`BoundedPartitionTable` stores only the s-saturated surface
     s >= N, one array over N per k, which is all the disconnected-count
     path ever reads, and keeps the whole fill cubic in the vertex count.
@@ -130,13 +132,13 @@ def estimate_table_bytes(params: TableParams) -> int:
     """Estimated peak memory of a full table build, in bytes.
 
     The table holds 8 bytes per plane for every cell of slices
-    k = 0..max_part (_slice_shape), slice 0 being one cell, plus two
-    save arrays the size of slice max_part, the largest; prime planes
-    add one scratch array of that size too.  Slice k has k*L + 1 rows
-    up to the last k with k*L <= M, then M + 1, and g(k) + 1 columns up
-    to the last k with g(k) <= M, then M + 1; summed in closed form
-    between those two k, so even a huge table is refused in constant
-    time.
+    k = 0..max_part (_slice_shape), slice 0 being one cell, plus the
+    fill's save and difference arrays, each the size of slice max_part,
+    the largest; prime planes add one scratch array of that size too.
+    Slice k has k*L + 1 rows up to the last k with k*L <= M, then M + 1,
+    and g(k) + 1 columns up to the last k with g(k) <= M, then M + 1;
+    summed in closed form between those two k, so even a huge table is
+    refused in constant time.
     """
     planes, M = _planes(params), params.max_sum
     K, L = params.max_part, params.target_parts
@@ -197,7 +199,8 @@ def _fill_layer(slices, save, diff, l, max_sum, mod):
         width, live = old_km1.shape[2], min(M, k * l)
         d, top = diff[:, : live + 1, :cols], min(M, (k - 1) * l) + 1
         d[:, top:] = 0
-        d[:, :top, width:] = d[:, :top, width - 1 : width]
+        # A copy first: numpy would buffer the overlapping broadcast whole.
+        d[:, :top, width:] = d[:, :top, width - 1 : width].copy()
         # D: row N, column s reads row N - shift, column s + delta.
         shift, delta = k + l - 1, l - k - 1
         if live >= shift:

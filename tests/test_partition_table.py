@@ -428,6 +428,9 @@ class TestMemoryBudget:
             _matrix_params(25, True),
             TableParams(12, 40, 30),  # two prime planes
             TableParams(120, 40, 30),  # two planes; scratch above margin
+            # Two planes; widening the fill's difference array to slice
+            # 40 copies 20 new columns of 976 rows.
+            TableParams(1000, 40, 25),
             TableParams(14, 30, 100),  # three prime planes
         ]
         margin = 256 * 1024
