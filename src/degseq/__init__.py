@@ -44,7 +44,7 @@ from .oracle import (
     is_graphical_eg,
     oracle_counts,
 )
-from .partition_table import DEFAULT_MEMORY_CAP
+from .partition_table import DEFAULT_MEMORY_CAP, memory_budget
 
 __version__ = "0.1.0"
 
@@ -73,6 +73,7 @@ __all__ = [
     "count_s",
     "extend_series",
     "is_graphical_eg",
+    "memory_budget",
     "oracle_counts",
     "profile",
     "read_series_file",

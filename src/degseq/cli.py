@@ -11,9 +11,9 @@ Subcommands:
   profile  per-degree-sum counts of one family (G, L, or H).
   ratio    successive quotients d(n)/d(n-1) as exact decimals.
 
-Each subcommand takes only the flags it reads: `--memory-cap` all of
-them, `--cache` count, series and ratio, `--oracle-cap` verify, and
-`--format` count, profile and ratio.
+Each subcommand takes only the flags it reads: `--memory-cap` (the
+budget of every table it builds) all of them, `--cache` count, series
+and ratio, `--oracle-cap` verify, and `--format` count, profile and ratio.
 
 Each quantity is served by one route, looked up in the QUANTITIES
 table, whose lag says how far the route reads the d series.  d is read
@@ -62,6 +62,7 @@ from .degree_counts import (
 )
 from .errors import MemoryBudgetError, OracleCapError
 from .oracle import DEFAULT_ORACLE_CAP, oracle_counts
+from .partition_table import memory_budget
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,7 +111,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _series(path: str | None, top: int, memory_cap) -> DnSeries:
+def _series(path: str | None, top: int) -> DnSeries:
     """The d series through d(top): the cache at ``path`` if it exists,
     extended in one fill if it falls short.
 
@@ -125,51 +126,41 @@ def _series(path: str | None, top: int, memory_cap) -> DnSeries:
     held = series.n_max
     try:
         if held < top:
-            extend_series(series, top, memory_cap=memory_cap)
+            extend_series(series, top)
     finally:
         if path and series.n_max > held:
             write_series_file(path, series)
     return series
 
 
-# quantity -> (smallest n, lag, compute(n, d, memory_cap)), where d is
-# the d series and compute(n, ...) reads it no further than d(n - lag);
-# a lag of None means it reads no series.  Every entry calls its
-# counters through this module's globals at call time, so a counter
-# rebound here (say, by a tracer) is the one that runs.
+# quantity -> (smallest n, lag, compute(n, d)), where d is the d series
+# and compute(n, d) reads it no further than d(n - lag); a lag of None
+# means it reads no series.  Every entry calls its counters through
+# this module's globals at call time, so a counter rebound here (say,
+# by a tracer) is the one that runs.
 QUANTITIES = {
-    "d": (2, 0, lambda n, d, cap: d[n]),
-    "d0": (1, 0, lambda n, d, cap: count_d0(n, d)),
-    "h": (2, 1, lambda n, d, cap: count_h(n, d)),
-    "l": (2, None, lambda n, d, cap: count_l(n, memory_cap=cap)),
-    "dc": (2, 0, lambda n, d, cap: count_dc_indirect(n, d[n])),
-    "dd": (2, None, lambda n, d, cap: count_dd(n)),
-    "s": (3, None, lambda n, d, cap: count_s(n, memory_cap=cap)),
-    "b": (3, 2, lambda n, d, cap: count_b(n, d)),
-    "c": (3, 2, lambda n, d, cap: count_b(n, d) + count_s(n, memory_cap=cap)),
-    "d2": (
-        3, 0,
-        lambda n, d, cap: d[n] - count_b(n, d) - count_s(n, memory_cap=cap),
-    ),
-    "db": (3, 0, lambda n, d, cap: count_db(n, d, d[n], memory_cap=cap).db),
+    "d": (2, 0, lambda n, d: d[n]),
+    "d0": (1, 0, lambda n, d: count_d0(n, d)),
+    "h": (2, 1, lambda n, d: count_h(n, d)),
+    "l": (2, None, lambda n, d: count_l(n)),
+    "dc": (2, 0, lambda n, d: count_dc_indirect(n, d[n])),
+    "dd": (2, None, lambda n, d: count_dd(n)),
+    "s": (3, None, lambda n, d: count_s(n)),
+    "b": (3, 2, lambda n, d: count_b(n, d)),
+    "c": (3, 2, lambda n, d: count_b(n, d) + count_s(n)),
+    "d2": (3, 0, lambda n, d: d[n] - count_b(n, d) - count_s(n)),
+    "db": (3, 0, lambda n, d: count_db(n, d, d[n]).db),
 }
 
 # Routes verify checks besides QUANTITIES, each the second way to a
 # number the package serves and none reading the d series: name ->
-# (CountReport field, smallest n, compute(n, d, memory_cap)).
+# (CountReport field, smallest n, compute(n, d)).
 _SECOND_ROUTES = {
-    "d_basic": ("d", 2, lambda n, d, cap: count_d_basic(n, memory_cap=cap)),
-    "dc_direct": (
-        "dc", 2, lambda n, d, cap: count_dc_direct(n, memory_cap=cap)
-    ),
-    "d2_minus_b": ("d2_minus_b", 3, lambda n, d, cap: count_d2_minus_b(n)),
-    "profile_g": (
-        "profile_g", 2, lambda n, d, cap: profile(n, "G", memory_cap=cap)
-    ),
-    "by_largest": (
-        "by_largest", 2,
-        lambda n, d, cap: count_by_largest(n, memory_cap=cap),
-    ),
+    "d_basic": ("d", 2, lambda n, d: count_d_basic(n)),
+    "dc_direct": ("dc", 2, lambda n, d: count_dc_direct(n)),
+    "d2_minus_b": ("d2_minus_b", 3, lambda n, d: count_d2_minus_b(n)),
+    "profile_g": ("profile_g", 2, lambda n, d: profile(n, "G")),
+    "by_largest": ("by_largest", 2, lambda n, d: count_by_largest(n)),
 }
 
 
@@ -208,17 +199,16 @@ def _cmd_count(args) -> int:
         )
     series = None
     if lag is not None:
-        series = _series(args.cache, n_values[-1] - lag, args.memory_cap)
+        series = _series(args.cache, n_values[-1] - lag)
     rows = (
-        (str(n), args.quantity, str(compute(n, series, args.memory_cap)))
-        for n in n_values
+        (str(n), args.quantity, str(compute(n, series))) for n in n_values
     )
     _emit(rows, ("n", "quantity", "value"), args.format)
     return EXIT_OK
 
 
 def _cmd_profile(args) -> int:
-    prof = profile(args.n, args.family, memory_cap=args.memory_cap)
+    prof = profile(args.n, args.family)
     rows = [(str(N), str(c)) for N, c in sorted(prof.entries.items())]
     _emit(rows, ("N", "count"), args.format)
     return EXIT_OK
@@ -238,7 +228,7 @@ def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
 def _cmd_ratio(args) -> int:
     if args.range[0] < 3:
         raise _UsageError("ratio needs n >= 3 (d(n-1) must be nonzero)")
-    series = _series(args.cache, args.range[-1], args.memory_cap)
+    series = _series(args.cache, args.range[-1])
     rows = [
         (str(n), _ratio_decimal(series[n], series[n - 1]))
         for n in args.range
@@ -255,18 +245,16 @@ def _cmd_verify(args) -> int:
         )
     if args.max_n < 2:
         raise _UsageError("verify needs --max-n >= 2")
-    routes = {
-        q: (q, lo, compute) for q, (lo, _, compute) in QUANTITIES.items()
-    }
+    routes = {q: (q, lo, f) for q, (lo, _, f) in QUANTITIES.items()}
     routes.update(_SECOND_ROUTES)
-    series = _series(None, args.max_n, args.memory_cap)
+    series = _series(None, args.max_n)
     mismatches = {}
     for n in range(2, args.max_n + 1):
         rep = oracle_counts(n, cap=args.oracle_cap)
         for name, (field, lo, compute) in routes.items():
             if n < lo:
                 continue
-            got = compute(n, series, args.memory_cap)
+            got = compute(n, series)
             want = getattr(rep, field)
             if got != want:
                 mismatches[name] = mismatches.get(name, 0) + 1
@@ -374,7 +362,8 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        with memory_budget(args.memory_cap):
+            return args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"degseq: error: {exc}", file=sys.stderr)
         return next(

@@ -61,11 +61,11 @@ class BiconnReport:
     db: int
 
 
-def count_dc_direct(n: int, *, memory_cap: int | None = None) -> int:
+def count_dc_direct(n: int) -> int:
     """dc(n): graphical matrix rows with sums 2(n-1)..n(n-1)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = graphical_matrix(n, memory_cap=memory_cap)
+    rows = graphical_matrix(n)
     return sum(sum(row) for N, row in rows.items() if N >= 2 * (n - 1))
 
 
@@ -81,9 +81,7 @@ def count_dd(n: int) -> int:
         raise ValueError("need n >= 2")
     if n < 4:
         return 0  # no even sum lies in [n, 2n - 3]
-    table = BoundedPartitionTable.build(
-        TableParams(max_sum=n - 4, max_part=n - 4, target_parts=n - 1)
-    )
+    table = BoundedPartitionTable.build(TableParams(n - 4, n - 4, n - 1))
     return sum(map(sum, table.g_prime_rows(n, 2 * n - 3, n - 3).values()))
 
 
@@ -100,12 +98,11 @@ def connectivity_report(n: int, d_n: int) -> ConnectivityReport:
     return ConnectivityReport(n=n, dc=d_n - dd, dd=dd)
 
 
-def count_s(n: int, *, memory_cap: int | None = None) -> int:
+def count_s(n: int) -> int:
     """s(n): the graphical matrix column of largest degree n - 2."""
     if n < 3:
         raise ValueError("need n >= 3")
-    rows = graphical_matrix(n, memory_cap=memory_cap)
-    return sum(row[n - 3] for row in rows.values())
+    return sum(row[n - 3] for row in graphical_matrix(n).values())
 
 
 def count_b(n: int, prior: DnSeries) -> int:
@@ -132,13 +129,7 @@ def count_d2_minus_b(n: int) -> int:
     )
 
 
-def count_db(
-    n: int,
-    prior: DnSeries,
-    d_n: int,
-    *,
-    memory_cap: int | None = None,
-) -> BiconnReport:
+def count_db(n: int, prior: DnSeries, d_n: int) -> BiconnReport:
     """All biconnectivity-side counts for n >= 3.
 
     Composes s, b, c = b + s, d2 = d(n) - c, the closed-form
@@ -146,7 +137,7 @@ def count_db(
     """
     if n < 3:
         raise ValueError("biconnectivity route needs n >= 3")
-    s = count_s(n, memory_cap=memory_cap)
+    s = count_s(n)
     b = count_b(n, prior)
     c = b + s
     d2 = d_n - c

@@ -36,7 +36,8 @@ the table's size, so one fill sized for the largest n serves every
 smaller one: as layer n - 1 passes it becomes n's matrix, and the
 process keeps it as its one memoized matrix.  extend_series reads each
 l(i) from a half-height harvest; any other count copies the memo when
-it is high enough, else harvests n alone at full height.
+it is high enough, else harvests n alone at full height.  Each fill
+is checked against the budget set by partition_table.memory_budget.
 """
 
 from __future__ import annotations
@@ -224,14 +225,14 @@ def _matrix_params(n: int, full: bool) -> TableParams:
     return TableParams(max(0, stored), max_part, target_parts=n - 1)
 
 
-def _harvest(ns: range, full: bool, visit, memory_cap: int | None) -> None:
+def _harvest(ns: range, full: bool, visit) -> None:
     """Fill one table and memoize each n's graphical matrix as it passes.
 
     The table is sized for ns[-1] at full or half height (_extent).  As
     the fill completes layer n - 1 for each n in ``ns``, it stores n's
     matrix at that height as the memo's one entry and calls visit(n),
-    which must not start another fill: the memo holds one n.
-    ``memory_cap`` is checked before any layer is filled, so a refusal
+    which must not start another fill: the memo holds one n.  The
+    memory budget is checked before any layer is filled, so a refusal
     leaves the memo as it was.
     """
     params = _matrix_params(ns[-1], full)
@@ -243,12 +244,10 @@ def _harvest(ns: range, full: bool, visit, memory_cap: int | None) -> None:
             _MATRIX[n] = (full, layer.g_prime_rows(n, *_extent(n, full)))
             visit(n)
 
-    PartitionTable.build(params, memory_cap=memory_cap, layer_visitor=harvest)
+    PartitionTable.build(params, layer_visitor=harvest)
 
 
-def graphical_matrix(
-    n: int, full: bool = True, *, memory_cap: int | None = None
-) -> dict:
+def graphical_matrix(n: int, full: bool = True) -> dict:
     """The graphical counts g(N, k, n) that every quantity here sums.
 
     Returns a mapping from each even N in [n, top] to a new list
@@ -257,29 +256,26 @@ def graphical_matrix(
     where (top, kmax) is n's extent at full or half height (_extent).
     They are copied from the memoized matrix of n when it is at least
     that high, else from a full-height harvest of n, whose build alone
-    checks ``memory_cap``.
+    checks the memory budget.
     """
     entry = _MATRIX.get(n)
     if entry is None or (full and not entry[0]):
-        _harvest(range(n, n + 1), True, lambda i: None, memory_cap)
+        _harvest(range(n, n + 1), True, lambda i: None)
     top, kmax = _extent(n, full)
     rows = _MATRIX[n][1]
     return {N: rows[N][:kmax] for N in _even_range(n, top)}
 
 
-def count_d_basic(n: int, *, memory_cap: int | None = None) -> int:
+def count_d_basic(n: int) -> int:
     """d(n): the sum of the whole graphical matrix, sums n..n(n-1)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return 0
-    rows = graphical_matrix(n, memory_cap=memory_cap)
-    return sum(map(sum, rows.values()))
+    return sum(map(sum, graphical_matrix(n).values()))
 
 
-def count_d_improved(
-    n: int, prior: DnSeries, *, memory_cap: int | None = None
-) -> int:
+def count_d_improved(n: int, prior: DnSeries) -> int:
     """d(n) = l(n) + h(n), with h(n) = d0(n-1) read from ``prior``.
 
     Only l(n) needs a table, and its mirrored profile only the lower
@@ -291,7 +287,7 @@ def count_d_improved(
     if n == 1:
         return 0
     # h first: a short prior raises before l(n) fills any table.
-    return count_h(n, prior) + count_l(n, memory_cap=memory_cap)
+    return count_h(n, prior) + count_l(n)
 
 
 def count_d0(n: int, prior: DnSeries) -> int:
@@ -312,18 +308,16 @@ def count_h(n: int, prior: DnSeries) -> int:
     return count_d0(n - 1, prior)
 
 
-def count_l(n: int, *, memory_cap: int | None = None) -> int:
+def count_l(n: int) -> int:
     """l(n): zero-free sequences with largest degree at most n - 2."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return 0
-    return profile(n, "L", memory_cap=memory_cap).total()
+    return profile(n, "L").total()
 
 
-def profile(
-    n: int, family: str, *, mirror: bool = True, memory_cap: int | None = None
-) -> SumProfile:
+def profile(n: int, family: str, *, mirror: bool = True) -> SumProfile:
     """Per-degree-sum counts for family "G", "L", or "H".
 
     Each entry is a row sum of the graphical matrix over the family's
@@ -345,33 +339,28 @@ def profile(
         "H": (slice(n - 2, n - 1), 2 * (n - 1), n * (n - 1), None),
     }[family]
     half = mirror and center is not None
-    rows = graphical_matrix(n, not half, memory_cap=memory_cap)
-    entries = {
-        N: sum(row[degrees]) for N, row in rows.items() if lo <= N <= hi
-    }
+    rows = graphical_matrix(n, not half)
+    entries = {N: sum(r[degrees]) for N, r in rows.items() if lo <= N <= hi}
     if half:
         for N in _even_range(center // 2 + 1, hi):
             entries[N] = entries[center - N]
     return SumProfile(n=n, family=family, entries=entries)
 
 
-def count_by_largest(n: int, *, memory_cap: int | None = None) -> dict:
+def count_by_largest(n: int) -> dict:
     """Split d(n) by largest degree: mapping k -> count, k = 1..n-1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = graphical_matrix(n, memory_cap=memory_cap)
-    return dict(zip(range(1, n), map(sum, zip(*rows.values()))))
+    return dict(zip(range(1, n), map(sum, zip(*graphical_matrix(n).values()))))
 
 
-def extend_series(
-    series: DnSeries, n: int, *, memory_cap: int | None = None
-) -> DnSeries:
+def extend_series(series: DnSeries, n: int) -> DnSeries:
     """Grow ``series`` in place with the improved route until it holds d(n).
 
     One half-height harvest to n fills one table: as it memoizes each
     missing i's matrix, count_d_improved reads l(i) from it and d(i) is
     appended at once.  A pass that stops early (an interrupt, an error)
-    keeps every d(i) appended before it stopped.  The memory cap is
+    keeps every d(i) appended before it stopped.  The memory budget is
     checked for that one table before any value is computed, so a
     refusal leaves ``series`` as it was.  The memo is left holding the
     half-height matrix of n.
@@ -379,5 +368,5 @@ def extend_series(
     if series.n_max >= n:
         return series
     _harvest(range(series.n_max + 1, n + 1), False,
-             lambda i: series.append(count_d_improved(i, series)), memory_cap)
+             lambda i: series.append(count_d_improved(i, series)))
     return series

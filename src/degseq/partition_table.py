@@ -49,6 +49,10 @@ clamp chain; they differ only in how they fill it and read one cell:
     s >= N, one array over N per k, which is all the disconnected-count
     path ever reads, and keeps the whole fill cubic in the vertex count.
 
+Both builds refuse, before they allocate, a closed-form estimate of
+their bytes above the budget: build's ``memory_cap`` if given, else the
+innermost :func:`memory_budget`'s cap, else DEFAULT_MEMORY_CAP.
+
 :func:`unrestricted_p` gives the ordinary partition numbers p(j) by the
 pentagonal-number recurrence.
 """
@@ -58,6 +62,8 @@ from __future__ import annotations
 import functools
 import math
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -78,6 +84,26 @@ def _default_memory_cap() -> int:
 
 
 DEFAULT_MEMORY_CAP = _default_memory_cap()
+_BUDGET: ContextVar = ContextVar("memory_budget", default=DEFAULT_MEMORY_CAP)
+
+
+@contextmanager
+def memory_budget(cap: int | None):
+    """Set the byte budget of every table build in the block (None for
+    DEFAULT_MEMORY_CAP); the one before is back on exit, as numpy.errstate."""
+    token = _BUDGET.set(DEFAULT_MEMORY_CAP if cap is None else cap)
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def _check_budget(estimate: int, cap: int | None = None) -> None:
+    """Refuse ``estimate`` bytes above ``cap``, by default the budget."""
+    cap = _BUDGET.get() if cap is None else cap
+    if estimate > cap:
+        raise MemoryBudgetError(estimate, cap)
+
 
 # Moduli of the residue planes of tables too large for one 2^64 plane.
 _PRIMES = tuple(2**62 - c for c in (57, 87, 117, 143, 153, 167))
@@ -156,21 +182,31 @@ def estimate_table_bytes(params: TableParams) -> int:
     return 8 * planes * (cells + 1 + 2 * largest + scratch)
 
 
+def estimate_bounded_bytes(params: TableParams) -> int:
+    """Estimated peak bytes of a bounded table build: two layers of
+    (K + 1)(M + 1) slots, each a pointer and a CPython int (24 bytes and
+    4 per 30-bit digit, in 16-byte blocks) of at most p(M) < e^(pi
+    sqrt(2M/3)), K = max_part and M = max_sum."""
+    M = params.max_sum
+    digits = int(math.pi * math.sqrt(2 * M / 3) / math.log(2)) // 30 + 1
+    slot = 8 + 16 * -(-(24 + 4 * digits) // 16)
+    return 2 * (params.max_part + 1) * (M + 1) * slot
+
+
 def _update(dst, src, mod):
     """dst += src; with ``mod`` = (q, scratch), modulo the primes q,
-    reduced through the scratch array.
-
-    Column j of dst takes column j of src, or src's last column where
-    src is narrower: past its last column a slice is saturated in s.
-    """
+    reduced through the scratch array.  Column j of dst takes column j
+    of src, or src's last column where src is narrower: past its last
+    column a slice is saturated in s."""
     n = min(dst.shape[2], src.shape[2])
     for d, s in ((dst[:, :, :n], src[:, :, :n]),
                  (dst[:, :, n:], src[:, :, n - 1 : n])):
+        if d.size == 0:  # src is as wide as dst: no columns to broadcast
+            continue
         np.add(d, s, out=d)
         if mod is not None:  # back into [0, q): residues stay below 2^62
-            q, scratch = mod
-            t = scratch[: d.size].reshape(d.shape)
-            np.minimum(d, np.subtract(d, q, out=t), out=d)
+            t = mod[1][: d.size].reshape(d.shape)
+            np.minimum(d, np.subtract(d, mod[0], out=t), out=d)
 
 
 def _fill_layer(slices, save, diff, l, max_sum, mod):
@@ -244,8 +280,7 @@ class PartitionTable:
         Args:
             params: table dimensions.
             memory_cap: byte budget checked before any allocation;
-                defaults to DEFAULT_MEMORY_CAP, seven eighths of the
-                machine's physical memory.
+                defaults to the memory_budget in force (module doc).
             layer_visitor: optional callback invoked as visitor(l, layer)
                 after each layer l >= 1 is filled, before layer l + 1.
                 ``layer`` is a read-only view of layer l, a table with
@@ -253,14 +288,11 @@ class PartitionTable:
                 the fill then overwrites its slices in place.
 
         Raises:
-            MemoryBudgetError: the estimated table size exceeds the cap.
+            MemoryBudgetError: the estimated table size exceeds the budget.
             ValueError: max_part + target_parts needs more residue
                 planes than there are fixed moduli (above 366).
         """
-        cap = DEFAULT_MEMORY_CAP if memory_cap is None else memory_cap
-        estimate = estimate_table_bytes(params)
-        if estimate > cap:
-            raise MemoryBudgetError(estimate, cap)
+        _check_budget(estimate_table_bytes(params), memory_cap)
         planes = _planes(params)
         if planes > len(_PRIMES):
             raise ValueError(f"{planes} residue planes exceed the moduli")
@@ -366,11 +398,13 @@ class BoundedPartitionTable(PartitionTable):
     and fill are (max_part + 1) x (max_sum + 1) per layer with only the
     final layer retained.  Queries pass through the same clamp chain and
     residency rule as the full table; a clamped slack below the sum is
-    refused.
+    refused, so g_prime(N, k, l) is answered for N <= 2(l - 1), where
+    its read lands on the surface, and above only where it clamps to 0.
     """
 
     @classmethod
     def build(cls, params: TableParams) -> "BoundedPartitionTable":
+        _check_budget(estimate_bounded_bytes(params))
         M, K, target = params.max_sum, params.max_part, params.target_parts
         # Slices are never written once filled, so one array serves as
         # slice 0 of every layer and as every slice of layer 0.
@@ -389,27 +423,8 @@ class BoundedPartitionTable(PartitionTable):
 
     def _cell(self, N: int, k: int, s: int) -> int:
         if s < N:
-            raise ValueError(
-                f"slack {s} is below the sum {N}: only the saturated "
-                f"surface s >= N is stored"
-            )
+            raise ValueError(f"slack {s} below sum {N}: only s >= N is stored")
         return self._slices[k][N]
-
-    def g_prime(self, N: int, k: int, l: int) -> int:
-        """Graphical-partition count, valid only where the slack saturates.
-
-        The bridged lookup lands on the saturated surface exactly when
-        N <= 2(l - 1); larger sums need the full table.
-
-        Raises:
-            ValueError: N negative, odd, or above 2(l - 1).
-        """
-        if N > 2 * (l - 1):
-            raise ValueError(
-                f"sum {N} exceeds the saturated range of this table "
-                f"(at most {2 * (l - 1)} for l={l})"
-            )
-        return super().g_prime(N, k, l)
 
 
 @functools.lru_cache

@@ -27,6 +27,28 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_refused_within_two_seconds(*count_args):
+    """``degseq count`` exits 2 on the memory cap within 2 s.
+
+    A fresh interpreter, so the time covers start-up and imports; the
+    refusal needs only the table's memory estimate.
+    """
+    src = os.path.dirname(os.path.dirname(degseq.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from degseq.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "count", *count_args],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr
+    assert "cap" in proc.stderr
+    assert elapsed < 2.0
+
+
 class TestCount:
     def test_basic_d4(self, capsys):
         code, out, _ = run(
@@ -113,11 +135,11 @@ class TestRouteLags:
             reach = n - lag
             series = DnSeries([0, *d[: reach - 1]])
             want = getattr(oracle_counts(n), quantity)
-            assert compute(n, series, None) == want
+            assert compute(n, series) == want
             if reach - 1 >= 1:
                 short = DnSeries([0, *d[: reach - 2]])
                 with pytest.raises(MissingPriorError):
-                    compute(n, short, None)
+                    compute(n, short)
 
 
 class TestSeries:
@@ -271,23 +293,29 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "request_",
+        [*(("count", "--quantity", q, "--n", "12") for q in QUANTITIES),
+         *(("profile", "--n", "12", "--family", f) for f in "GLH"),
+         ("verify", "--max-n", "6"),
+         ("ratio", "--range", "3..12")],
+        ids=" ".join,
+    )
+    def test_every_route_is_under_the_cap(
+        self, capsys, monkeypatch, empty_memo, request_
+    ):
+        monkeypatch.delenv("DEGSEQ_CACHE", raising=False)
+        code, out, err = run(capsys, *request_, "--memory-cap", "1000")
+        assert code == 2, err
+        assert out == ""
+        assert "cap" in err
+
     def test_huge_n_is_refused_within_two_seconds(self):
-        # A fresh interpreter, so the time covers start-up and imports;
-        # the refusal needs only the table's memory estimate.
-        src = os.path.dirname(os.path.dirname(degseq.__file__))
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from degseq.cli import main; "
-             "sys.exit(main(sys.argv[1:]))",
-             "count", "--quantity", "d", "--n", "10000000"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        elapsed = time.perf_counter() - start
-        assert proc.returncode == 2, proc.stderr
-        assert "cap" in proc.stderr
-        assert elapsed < 2.0
+        assert_refused_within_two_seconds("--quantity", "d", "--n", "10000000")
+
+    def test_huge_dd_is_refused_within_two_seconds(self):
+        # The bounded dd table: 2 * 19997^2 slots of 104 bytes, 83 GB.
+        assert_refused_within_two_seconds("--quantity", "dd", "--n", "20000")
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_memory_cap_must_be_positive(self, capsys, cap):

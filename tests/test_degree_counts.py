@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from degseq import partition_table
+from degseq import memory_budget, partition_table
 from degseq.connectivity_counts import (
     count_b,
     count_d2_minus_b,
@@ -265,11 +265,12 @@ class TestMatrixMemo:
 
     def test_hit_needs_no_memory(self, table_builds):
         l10 = count_l(10)
-        assert count_l(10, memory_cap=1) == l10
-        with pytest.raises(MemoryBudgetError):
-            count_s(11, memory_cap=1)
-        # The refused build leaves the memo as it was.
-        assert profile(10, "L", memory_cap=1).total() == l10
+        with memory_budget(1):
+            assert count_l(10) == l10
+            with pytest.raises(MemoryBudgetError):
+                count_s(11)
+            # The refused build leaves the memo as it was.
+            assert profile(10, "L").total() == l10
         assert table_builds == [
             _matrix_params(10, True), _matrix_params(11, True)
         ]
@@ -284,9 +285,10 @@ class TestMatrixMemo:
         assert table_builds == []
         # ... but not a full-height count, whose build the cap refuses
         # without evicting the half-height matrix.
-        with pytest.raises(MemoryBudgetError):
-            count_s(n, memory_cap=1)
-        assert count_l(n, memory_cap=1) == want.l
+        with memory_budget(1):
+            with pytest.raises(MemoryBudgetError):
+                count_s(n)
+            assert count_l(n) == want.l
         assert table_builds == [_matrix_params(n, True)]
         table_builds.clear()
         got = {
@@ -337,8 +339,8 @@ class TestExtendSeries:
         need = estimate_table_bytes(
             TableParams(min(40 * 39 // 2 - 40, 37 * 39), 37, 39)
         )
-        with pytest.raises(MemoryBudgetError) as err:
-            extend_series(series, 40, memory_cap=need - 1)
+        with memory_budget(need - 1), pytest.raises(MemoryBudgetError) as err:
+            extend_series(series, 40)
         assert err.value.estimated_bytes == need
         assert series == before
 
