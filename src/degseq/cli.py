@@ -201,7 +201,8 @@ def _cmd_count(args) -> int:
     if lag is not None:
         series = _series(args.cache, n_values[-1] - lag)
     rows = (
-        (str(n), args.quantity, str(compute(n, series))) for n in n_values
+        (str(n), args.quantity, str(compute(n, series)))
+        for n in n_values
     )
     _emit(rows, ("n", "quantity", "value"), args.format)
     return EXIT_OK
@@ -245,7 +246,9 @@ def _cmd_verify(args) -> int:
         )
     if args.max_n < 2:
         raise _UsageError("verify needs --max-n >= 2")
-    routes = {q: (q, lo, f) for q, (lo, _, f) in QUANTITIES.items()}
+    routes = {
+        q: (q, lo, compute) for q, (lo, _, compute) in QUANTITIES.items()
+    }
     routes.update(_SECOND_ROUTES)
     series = _series(None, args.max_n)
     mismatches = {}

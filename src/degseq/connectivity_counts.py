@@ -81,7 +81,9 @@ def count_dd(n: int) -> int:
         raise ValueError("need n >= 2")
     if n < 4:
         return 0  # no even sum lies in [n, 2n - 3]
-    table = BoundedPartitionTable.build(TableParams(n - 4, n - 4, n - 1))
+    table = BoundedPartitionTable.build(
+        TableParams(max_sum=n - 4, max_part=n - 4, target_parts=n - 1)
+    )
     return sum(map(sum, table.g_prime_rows(n, 2 * n - 3, n - 3).values()))
 
 
@@ -102,7 +104,8 @@ def count_s(n: int) -> int:
     """s(n): the graphical matrix column of largest degree n - 2."""
     if n < 3:
         raise ValueError("need n >= 3")
-    return sum(row[n - 3] for row in graphical_matrix(n).values())
+    rows = graphical_matrix(n)
+    return sum(row[n - 3] for row in rows.values())
 
 
 def count_b(n: int, prior: DnSeries) -> int:

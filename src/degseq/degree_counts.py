@@ -272,7 +272,8 @@ def count_d_basic(n: int) -> int:
         raise ValueError("need n >= 1")
     if n == 1:
         return 0
-    return sum(map(sum, graphical_matrix(n).values()))
+    rows = graphical_matrix(n)
+    return sum(map(sum, rows.values()))
 
 
 def count_d_improved(n: int, prior: DnSeries) -> int:
@@ -340,7 +341,9 @@ def profile(n: int, family: str, *, mirror: bool = True) -> SumProfile:
     }[family]
     half = mirror and center is not None
     rows = graphical_matrix(n, not half)
-    entries = {N: sum(r[degrees]) for N, r in rows.items() if lo <= N <= hi}
+    entries = {
+        N: sum(row[degrees]) for N, row in rows.items() if lo <= N <= hi
+    }
     if half:
         for N in _even_range(center // 2 + 1, hi):
             entries[N] = entries[center - N]
@@ -351,7 +354,8 @@ def count_by_largest(n: int) -> dict:
     """Split d(n) by largest degree: mapping k -> count, k = 1..n-1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return dict(zip(range(1, n), map(sum, zip(*graphical_matrix(n).values()))))
+    rows = graphical_matrix(n)
+    return dict(zip(range(1, n), map(sum, zip(*rows.values()))))
 
 
 def extend_series(series: DnSeries, n: int) -> DnSeries:

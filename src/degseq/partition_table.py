@@ -50,8 +50,8 @@ clamp chain; they differ only in how they fill it and read one cell:
     path ever reads, and keeps the whole fill cubic in the vertex count.
 
 Both builds refuse, before they allocate, a closed-form estimate of
-their bytes above the budget: build's ``memory_cap`` if given, else the
-innermost :func:`memory_budget`'s cap, else DEFAULT_MEMORY_CAP.
+their bytes above the budget: the innermost :func:`memory_budget`'s
+cap, else DEFAULT_MEMORY_CAP.
 
 :func:`unrestricted_p` gives the ordinary partition numbers p(j) by the
 pentagonal-number recurrence.
@@ -98,9 +98,9 @@ def memory_budget(cap: int | None):
         _BUDGET.reset(token)
 
 
-def _check_budget(estimate: int, cap: int | None = None) -> None:
-    """Refuse ``estimate`` bytes above ``cap``, by default the budget."""
-    cap = _BUDGET.get() if cap is None else cap
+def _check_budget(estimate: int) -> None:
+    """Refuse ``estimate`` bytes above the budget in force."""
+    cap = _BUDGET.get()
     if estimate > cap:
         raise MemoryBudgetError(estimate, cap)
 
@@ -186,18 +186,21 @@ def estimate_bounded_bytes(params: TableParams) -> int:
     """Estimated peak bytes of a bounded table build: two layers of
     (K + 1)(M + 1) slots, each a pointer and a CPython int (24 bytes and
     4 per 30-bit digit, in 16-byte blocks) of at most p(M) < e^(pi
-    sqrt(2M/3)), K = max_part and M = max_sum."""
+    sqrt(2M/3)), K = max_part and M = max_sum, plus 8 bytes a slot for
+    the allocator: the resident peak runs about 10% above the blocks."""
     M = params.max_sum
     digits = int(math.pi * math.sqrt(2 * M / 3) / math.log(2)) // 30 + 1
-    slot = 8 + 16 * -(-(24 + 4 * digits) // 16)
+    slot = 16 + 16 * -(-(24 + 4 * digits) // 16)
     return 2 * (params.max_part + 1) * (M + 1) * slot
 
 
 def _update(dst, src, mod):
     """dst += src; with ``mod`` = (q, scratch), modulo the primes q,
-    reduced through the scratch array.  Column j of dst takes column j
-    of src, or src's last column where src is narrower: past its last
-    column a slice is saturated in s."""
+    reduced through the scratch array.
+
+    Column j of dst takes column j of src, or src's last column where
+    src is narrower: past its last column a slice is saturated in s.
+    """
     n = min(dst.shape[2], src.shape[2])
     for d, s in ((dst[:, :, :n], src[:, :, :n]),
                  (dst[:, :, n:], src[:, :, n - 1 : n])):
@@ -205,8 +208,9 @@ def _update(dst, src, mod):
             continue
         np.add(d, s, out=d)
         if mod is not None:  # back into [0, q): residues stay below 2^62
-            t = mod[1][: d.size].reshape(d.shape)
-            np.minimum(d, np.subtract(d, mod[0], out=t), out=d)
+            q, scratch = mod
+            t = scratch[: d.size].reshape(d.shape)
+            np.minimum(d, np.subtract(d, q, out=t), out=d)
 
 
 def _fill_layer(slices, save, diff, l, max_sum, mod):
@@ -272,15 +276,12 @@ class PartitionTable:
         cls,
         params: TableParams,
         *,
-        memory_cap: int | None = None,
         layer_visitor: Callable[[int, PartitionTable], None] | None = None,
     ) -> "PartitionTable":
         """Fill layers l = 0..target_parts and return the last one.
 
         Args:
             params: table dimensions.
-            memory_cap: byte budget checked before any allocation;
-                defaults to the memory_budget in force (module doc).
             layer_visitor: optional callback invoked as visitor(l, layer)
                 after each layer l >= 1 is filled, before layer l + 1.
                 ``layer`` is a read-only view of layer l, a table with
@@ -292,7 +293,7 @@ class PartitionTable:
             ValueError: max_part + target_parts needs more residue
                 planes than there are fixed moduli (above 366).
         """
-        _check_budget(estimate_table_bytes(params), memory_cap)
+        _check_budget(estimate_table_bytes(params))
         planes = _planes(params)
         if planes > len(_PRIMES):
             raise ValueError(f"{planes} residue planes exceed the moduli")
@@ -423,7 +424,10 @@ class BoundedPartitionTable(PartitionTable):
 
     def _cell(self, N: int, k: int, s: int) -> int:
         if s < N:
-            raise ValueError(f"slack {s} below sum {N}: only s >= N is stored")
+            raise ValueError(
+                f"slack {s} is below the sum {N}: only the saturated "
+                f"surface s >= N is stored"
+            )
         return self._slices[k][N]
 
 

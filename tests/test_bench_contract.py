@@ -65,7 +65,7 @@ def test_build_visits_each_layer_once():
         assert layer.params.target_parts == l
         seen.append(l)
 
-    PartitionTable.build(params, memory_cap=None, layer_visitor=visit)
+    PartitionTable.build(params, layer_visitor=visit)
     assert seen == list(range(1, params.target_parts + 1))
 
 

@@ -314,8 +314,11 @@ class TestExitCodes:
         assert_refused_within_two_seconds("--quantity", "d", "--n", "10000000")
 
     def test_huge_dd_is_refused_within_two_seconds(self):
-        # The bounded dd table: 2 * 19997^2 slots of 104 bytes, 83 GB.
-        assert_refused_within_two_seconds("--quantity", "dd", "--n", "20000")
+        # The bounded dd table: 2 * (10^7 - 3)^2 slots of 1,616 bytes,
+        # about 3e17 bytes, above any machine's memory.
+        assert_refused_within_two_seconds(
+            "--quantity", "dd", "--n", "10000000"
+        )
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_memory_cap_must_be_positive(self, capsys, cap):
