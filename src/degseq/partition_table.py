@@ -22,7 +22,7 @@ min(L, N).  Layer l is filled from layer l - 1 by
         slack argument goes negative, with the slack clamped at the new sum.
 
 Two table flavours hold one layer each and answer through the same
-clamp chain; they differ only in how they fill it and read one cell:
+clamp chain; they differ only in how they fill it and read stored cells:
 
   * :class:`PartitionTable` stores the full (N, k, s) grid in
     fixed-width residues: one uint64 array per part bound k, of shape
@@ -48,6 +48,10 @@ clamp chain; they differ only in how they fill it and read one cell:
   * :class:`BoundedPartitionTable` stores only the s-saturated surface
     s >= N, one array over N per k, which is all the disconnected-count
     path ever reads, and keeps the whole fill cubic in the vertex count.
+
+g_prime_rows reads a graphical matrix one degree column at a time: the
+cells the clamp chain leaves unchanged are one strided read of a slice
+column, and only the clamped ones go through g_prime, cell by cell.
 
 Both builds refuse, before they allocate, a closed-form estimate of
 their bytes above the budget: the innermost :func:`memory_budget`'s
@@ -348,16 +352,7 @@ class PartitionTable:
                 f"layer l={l} is not servable from the held layer "
                 f"{p.target_parts}"
             )
-        return self._cell(N, k, s)
-
-    def _cell(self, N: int, k: int, s: int) -> int:
-        """The stored value at clamped (N, k, s) of the held layer."""
-        cells = self._slices[k]
-        col = min(s, cells.shape[2] - 1)
-        if len(cells) == 1:
-            return int(cells[0, N, col])
-        P, basis = _crt_basis(_PRIMES[: len(cells)])
-        return sum(map(int.__mul__, cells[:, N, col].tolist(), basis)) % P
+        return self._column(k, range(N, N + 1), s)[0]
 
     def g_prime(self, N: int, k: int, l: int) -> int:
         """Count graphical partitions of N with exactly l parts, largest k.
@@ -382,11 +377,41 @@ class PartitionTable:
 
         Returns a mapping from each such N to a new list over k.  A k too
         large for N (k > N - n + 1) reads 0 through the clamp chain.
+
+        Column k is read at once: g_prime(N, k, n) reads cell (R, k - 1,
+        n - k - 1) of layer n - 1, R = N - k - n + 1.  Where the clamp
+        chain changes none of them (2 <= k < n, max(k - 1, n - k - 1) <= R,
+        the table holds layer n - 1 and slice k - 1) one strided read of
+        the stored rows (_column) gives the cells, and rows R > (k - 1)(n - 1)
+        are 0; any other cell is read through g_prime.
         """
-        return {
-            N: [self.g_prime(N, k, n) for k in range(1, kmax + 1)]
-            for N in range(n + n % 2, max_sum + 1, 2)
-        }
+        sums, p, cols = range(n + n % 2, max_sum + 1, 2), self.params, []
+        for k in range(1, kmax + 1):
+            rows = range(sums.start - k - n + 1, sums.stop - k - n + 1, 2)
+            a = b = z = len(rows)  # rows[:a] clamp, [a:b] gather, [b:z] raise
+            gathered = []
+            if 2 <= k < n and k <= p.max_part + 1 and p.target_parts == n - 1:
+                top = (k - 1) * (n - 1)  # rows above it hold no partition
+                a, b, z = (len(range(rows.start, R, 2)) for R in (
+                    max(k - 1, n - k - 1), min(top, p.max_sum) + 1, top + 1))
+                b = max(a, b)
+                gathered = self._column(k - 1, rows[a:b], n - k - 1)
+            cols.append(
+                [self.g_prime(N, k, n) for N in sums[:a]] + gathered
+                + [self.g_prime(N, k, n) for N in sums[b:z]]
+                + [0] * (len(rows) - z))
+        return {N: row for N, *row in zip(sums, *cols, strict=True)}
+
+    def _column(self, k: int, rows: range, s: int) -> list:
+        """The stored values of the held layer at slice k, slack s (at
+        most each row's sum), over ``rows``: one strided numpy read."""
+        cells = self._slices[k]
+        col = cells[:, rows.start : rows.stop : rows.step,
+                    min(s, cells.shape[2] - 1)].tolist()
+        if len(cells) == 1:
+            return col[0]
+        P, basis = _crt_basis(_PRIMES[: len(cells)])
+        return [sum(map(int.__mul__, c, basis)) % P for c in zip(*col)]
 
 
 class BoundedPartitionTable(PartitionTable):
@@ -422,13 +447,13 @@ class BoundedPartitionTable(PartitionTable):
             prev = cur
         return cls(params, prev)
 
-    def _cell(self, N: int, k: int, s: int) -> int:
-        if s < N:
+    def _column(self, k: int, rows: range, s: int) -> list:
+        if rows and s < rows[-1]:
             raise ValueError(
-                f"slack {s} is below the sum {N}: only the saturated "
+                f"slack {s} is below the sum {rows[-1]}: only the saturated "
                 f"surface s >= N is stored"
             )
-        return self._slices[k][N]
+        return self._slices[k][rows.start : rows.stop : rows.step].tolist()
 
 
 @functools.lru_cache

@@ -39,6 +39,22 @@ def table_builds(monkeypatch, empty_memo):
 
 
 @pytest.fixture(scope="session")
+def read_matrix():
+    """The reference reader PartitionTable.g_prime_rows must agree with:
+    read(table, n, top, kmax) is n's graphical matrix up to sum top and
+    largest degree kmax, read cell by cell through g_prime from a table
+    holding layer n - 1."""
+
+    def read(table, n, top, kmax):
+        return {
+            N: [table.g_prime(N, k, n) for k in range(1, kmax + 1)]
+            for N in range(n + n % 2, top + 1, 2)
+        }
+
+    return read
+
+
+@pytest.fixture(scope="session")
 def series_40():
     """Exact d(1)..d(40) by the improved chain, with its build time."""
     t0 = time.perf_counter()

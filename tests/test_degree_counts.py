@@ -17,6 +17,7 @@ from degseq.connectivity_counts import (
 from degseq.degree_counts import (
     FAMILIES,
     DnSeries,
+    _extent,
     _matrix_params,
     count_by_largest,
     count_d0,
@@ -179,7 +180,7 @@ class TestCountByLargest:
 
 
 class TestGraphicalMatrix:
-    def test_every_family_matrix_sums_to_its_counts(self):
+    def test_every_family_matrix_sums_to_its_counts(self, read_matrix):
         series = extend_series(DnSeries(), 14)
         for n in range(2, 15):
             full = graphical_matrix(n)
@@ -202,20 +203,31 @@ class TestGraphicalMatrix:
                 table = PartitionTable.build(_matrix_params(n, height))
                 for rows in (
                     graphical_matrix(n, height),
-                    _read_matrix(table, n, top, kmax),
+                    read_matrix(table, n, top, kmax),
                 ):
                     assert list(rows) == [N for N in full if N <= top]
                     for N, row in rows.items():
                         assert row == full[N][:kmax]
 
 
-def _read_matrix(table, n, top, kmax):
-    """The graphical matrix of n up to sum top and largest degree kmax,
-    read cell by cell from a table holding layer n - 1."""
-    return {
-        N: [table.g_prime(N, k, n) for k in range(1, kmax + 1)]
-        for N in range(n + n % 2, top + 1, 2)
-    }
+    def test_series_reads_few_cells_one_at_a_time(self, monkeypatch):
+        """A harvest reads most of each matrix in whole columns; g_prime
+        still answers the clamped cells, as the benchmark's tracer
+        requires."""
+        g_prime, calls = PartitionTable.g_prime, []
+
+        def counted(table, N, k, l):
+            calls.append(N)
+            return g_prime(table, N, k, l)
+
+        monkeypatch.setattr(PartitionTable, "g_prime", counted)
+        extend_series(DnSeries(), 30)
+        cells = 0
+        for n in range(2, 31):
+            top, kmax = _extent(n, False)
+            cells += len(range(n + n % 2, top + 1, 2)) * kmax
+        assert cells == 43141
+        assert 0 < len(calls) < cells / 4
 
 
 class TestMatrixMemo:
@@ -247,9 +259,9 @@ class TestMatrixMemo:
             count_s(n)
         assert table_builds == [_matrix_params(n, True) for n in (7, 8, 7)]
 
-    def test_answers_are_copies(self, table_builds):
+    def test_answers_are_copies(self, table_builds, read_matrix):
         n = 8
-        want = _read_matrix(
+        want = read_matrix(
             PartitionTable.build(_matrix_params(n, True)),
             n, n * (n - 1), n - 1,
         )

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degseq import partition_table
-from degseq.degree_counts import _matrix_params
+from degseq.degree_counts import _extent, _matrix_params
 from degseq.errors import LayerNotResidentError, MemoryBudgetError
 from degseq.partition_table import (
     DEFAULT_MEMORY_CAP,
@@ -532,6 +532,85 @@ class TestLayerView:
 
         PartitionTable.build(params, layer_visitor=visit)
         assert checked == list(range(1, params.target_parts + 1))
+
+
+class TestRowReader:
+    """g_prime_rows gathers the cells the clamp chain leaves unchanged
+    one column at a time; it must read what g_prime reads cell by cell
+    (the conftest's read_matrix), errors included."""
+
+    @pytest.mark.parametrize("full, ntop", [
+        (False, 34), (True, 33),  # one 2^64 plane
+        (False, 36), (True, 36),  # two prime planes
+    ])
+    def test_every_layer_matches_the_reference(self, read_matrix, full,
+                                               ntop):
+        assert _planes(_matrix_params(ntop, full)) == 1 + (ntop > 34)
+        read = []
+
+        def visit(l, layer):
+            n = l + 1
+            top, kmax = _extent(n, full)
+            assert layer.g_prime_rows(n, top, kmax) == read_matrix(
+                layer, n, top, kmax
+            ), (full, n)
+            read.append(n)
+
+        PartitionTable.build(_matrix_params(ntop, full), layer_visitor=visit)
+        assert read == list(range(2, ntop + 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([PartitionTable, BoundedPartitionTable]), SHAPES,
+           st.sampled_from([0, 0, 0, -1, 1]), st.integers(0, 30),
+           st.integers(0, 12))
+    @example(PartitionTable, TableParams(12, 8, 4), 0, 30, 12)  # k >= n
+    def test_any_read_matches_the_reference(self, read_matrix, cls, params,
+                                            layer_gap, max_sum, kmax):
+        """Shapes and reads the harvest never makes: a read past the
+        stored block, of another layer or of degrees k >= n returns or
+        raises as the cell-by-cell read does.  Where a read of another
+        layer also leaves the block, either fault may be named first:
+        the gather goes column by column, the reference row by row."""
+        table, n = cls.build(params), params.target_parts + 1 + layer_gap
+
+        def outcome(read):
+            try:
+                return read(n, max_sum, kmax)
+            except (ValueError, LayerNotResidentError) as exc:
+                return type(exc)
+
+        got = outcome(table.g_prime_rows)
+        want = outcome(lambda *args: read_matrix(table, *args))
+        assert got == want or (
+            layer_gap and isinstance(got, type) and isinstance(want, type))
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_bounded_dd_table_matches_the_reference(self, read_matrix, n):
+        # count_dd's table and read.
+        table = BoundedPartitionTable.build(TableParams(n - 4, n - 4, n - 1))
+        assert table.g_prime_rows(n, 2 * n - 3, n - 3) == read_matrix(
+            table, n, 2 * n - 3, n - 3
+        )
+
+    @pytest.mark.parametrize("cls, params, n, top, kmax, error", [
+        # Another layer than n - 1.
+        (PartitionTable, _matrix_params(10, True), 9, 72, 8,
+         LayerNotResidentError),
+        (PartitionTable, _matrix_params(10, True), 11, 110, 10,
+         LayerNotResidentError),
+        # Sums, then degrees, past a half-height table's stored block.
+        (PartitionTable, _matrix_params(10, False), 10, 90, 8, ValueError),
+        (PartitionTable, _matrix_params(10, False), 10, 44, 9, ValueError),
+        # Unsaturated slack on the bounded table's surface.
+        (BoundedPartitionTable, TableParams(30, 5, 8), 9, 30, 4, ValueError),
+    ])
+    def test_raises_as_the_reference(self, read_matrix, cls, params, n, top,
+                                     kmax, error):
+        table = cls.build(params)
+        with pytest.raises(error):
+            table.g_prime_rows(n, top, kmax)
+        with pytest.raises(error):
+            read_matrix(table, n, top, kmax)
 
 
 # Prints the peak resident growth of one bounded build of dd(n), n from
