@@ -2,10 +2,11 @@
 
 E(n) is the candidate pool: non-increasing positive integer sequences of
 length n with even sum and every term at most n - 1.  Members are plain
-tuples.  Graphicality is decided by two independent classical criteria
-(sum-prefix inequalities, and a conjugate-prefix slack test), potential
-connectivity by the sum threshold 2(n - 1), potential biconnectivity by
-minimum degree 2 plus the sum threshold 2n - 4 + 2 * largest.
+tuples.  Graphicality is decided by the sum-prefix inequalities
+(is_graphical_eg; the tests hold an independent second criterion, a
+conjugate-prefix slack test, and check the two agree), potential
+connectivity by the sum threshold 2(n - 1), potential biconnectivity
+by minimum degree 2 plus the sum threshold 2n - 4 + 2 * largest.
 
 One pass over E(n) keeps a histogram of its graphical members by
 (degree sum, largest degree, smallest degree), memoized per n; it is
@@ -78,29 +79,6 @@ def is_graphical_eg(seq) -> bool:
             r -= 1
             lows += seq[r]
         if prefix > k * (r - 1) + lows:
-            return False
-    return True
-
-
-def is_graphical_nw(seq) -> bool:
-    """Graphicality by the conjugate-prefix slack test.
-
-    With conj_j = #{i : d_i >= j}, requires the running sum of
-    (conj_j - d_j) to reach j for every j up to the crossing index.
-    Agrees with is_graphical_eg on every input.
-
-    Raises:
-        ValueError: as is_graphical_eg.
-    """
-    _validate(seq)
-    run, conj = 0, len(seq)
-    for j, d in enumerate(seq, 1):
-        if d < j:
-            break
-        while seq[conj - 1] < j:
-            conj -= 1
-        run += conj - d
-        if run < j:
             return False
     return True
 

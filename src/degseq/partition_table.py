@@ -49,9 +49,17 @@ clamp chain; they differ only in how they fill it and read stored cells:
     s >= N, one array over N per k, which is all the disconnected-count
     path ever reads, and keeps the whole fill cubic in the vertex count.
 
-g_prime_rows reads a graphical matrix one degree column at a time: the
-cells the clamp chain leaves unchanged are one strided read of a slice
-column, and only the clamped ones go through g_prime, cell by cell.
+Every stored cell holds the value the clamp chain gives its own
+coordinates: row N of slice k in layer L holds the cell (N, min(k, N),
+min(L, N), min(s, N)).  By induction over the layers: row N's D term
+reads the sum N - k - l + 1, negative once k > N or l > N, so new minus
+old slice k telescopes to new minus old slice N for k > N, and to 0 for
+l > N.  Row N of every slice k > N thus changes with row N of slice N,
+and no row N changes after layer N.  Columns past N, and past S_k, are
+saturated.  So g_prime_rows reads a graphical matrix one degree column
+at a time: every stored row of the column is one strided read of a
+slice, rows past the last that holds a partition are 0, and only the
+cells of negative sum, outside the stored block, go through g_prime.
 
 Both builds refuse, before they allocate, a closed-form estimate of
 their bytes above the budget: the innermost :func:`memory_budget`'s
@@ -379,22 +387,22 @@ class PartitionTable:
         large for N (k > N - n + 1) reads 0 through the clamp chain.
 
         Column k is read at once: g_prime(N, k, n) reads cell (R, k - 1,
-        n - k - 1) of layer n - 1, R = N - k - n + 1.  Where the clamp
-        chain changes none of them (2 <= k < n, max(k - 1, n - k - 1) <= R,
-        the table holds layer n - 1 and slice k - 1) one strided read of
-        the stored rows (_column) gives the cells, and rows R > (k - 1)(n - 1)
-        are 0; any other cell is read through g_prime.
+        n - k - 1) of layer n - 1, R = N - k - n + 1, and every stored cell
+        holds the value the clamp chain gives its own coordinates.  So
+        where the table holds layer n - 1 and slice k - 1 (k < n) one
+        strided read of the stored rows R >= 0 (_column) gives the cells,
+        and rows R > (k - 1)(n - 1) are 0; the rows of negative sum, and
+        any column the table does not hold, are read through g_prime.
         """
         sums, p, cols = range(n + n % 2, max_sum + 1, 2), self.params, []
         for k in range(1, kmax + 1):
             rows = range(sums.start - k - n + 1, sums.stop - k - n + 1, 2)
-            a = b = z = len(rows)  # rows[:a] clamp, [a:b] gather, [b:z] raise
+            a = b = z = len(rows)
             gathered = []
-            if 2 <= k < n and k <= p.max_part + 1 and p.target_parts == n - 1:
+            if k < n and k <= p.max_part + 1 and p.target_parts == n - 1:
                 top = (k - 1) * (n - 1)  # rows above it hold no partition
                 a, b, z = (len(range(rows.start, R, 2)) for R in (
-                    max(k - 1, n - k - 1), min(top, p.max_sum) + 1, top + 1))
-                b = max(a, b)
+                    0, min(top, p.max_sum) + 1, top + 1))
                 gathered = self._column(k - 1, rows[a:b], n - k - 1)
             cols.append(
                 [self.g_prime(N, k, n) for N in sums[:a]] + gathered

@@ -35,9 +35,9 @@ from degseq.degree_counts import (
 from degseq.oracle import (
     enumerate_even_bounded,
     is_graphical_eg,
-    is_graphical_nw,
     oracle_counts,
 )
+from test_oracle import is_graphical_nw
 
 ORACLE_LIMIT = 13
 HOSTPROBE_PATH = os.path.join(

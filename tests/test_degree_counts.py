@@ -211,9 +211,10 @@ class TestGraphicalMatrix:
 
 
     def test_series_reads_few_cells_one_at_a_time(self, monkeypatch):
-        """A harvest reads most of each matrix in whole columns; g_prime
-        still answers the clamped cells, as the benchmark's tracer
-        requires."""
+        """A harvest reads every stored cell of a matrix in whole
+        columns; g_prime still answers the cells of negative sum, which
+        lie outside the stored block, as the benchmark's tracer requires.
+        So does count_dd's read of the bounded table."""
         g_prime, calls = PartitionTable.g_prime, []
 
         def counted(table, N, k, l):
@@ -227,7 +228,12 @@ class TestGraphicalMatrix:
             top, kmax = _extent(n, False)
             cells += len(range(n + n % 2, top + 1, 2)) * kmax
         assert cells == 43141
-        assert 0 < len(calls) < cells / 4
+        assert 0 < len(calls) < cells / 20
+        calls.clear()
+        count_dd(40)
+        reads = [N - k - 39 for N in range(40, 78, 2) for k in range(1, 38)]
+        assert (len(reads), len(calls)) == (703, 342)
+        assert len(calls) == sum(R < 0 for R in reads)
 
 
 class TestMatrixMemo:

@@ -8,11 +8,35 @@ from degseq import oracle
 from degseq.degree_counts import DnSeries, extend_series
 from degseq.errors import OracleCapError
 from degseq.oracle import (
+    _validate,
     enumerate_even_bounded,
     is_graphical_eg,
-    is_graphical_nw,
     oracle_counts,
 )
+
+
+def is_graphical_nw(seq) -> bool:
+    """Graphicality by the conjugate-prefix slack test, the second
+    criterion is_graphical_eg is checked against (here and in criterion
+    8 of the acceptance tests).
+
+    With conj_j = #{i : d_i >= j}, requires the running sum of
+    (conj_j - d_j) to reach j for every j up to the crossing index.
+
+    Raises:
+        ValueError: as is_graphical_eg.
+    """
+    _validate(seq)
+    run, conj = 0, len(seq)
+    for j, d in enumerate(seq, 1):
+        if d < j:
+            break
+        while seq[conj - 1] < j:
+            conj -= 1
+        run += conj - d
+        if run < j:
+            return False
+    return True
 
 
 class TestEnumeration:

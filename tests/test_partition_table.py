@@ -534,10 +534,42 @@ class TestLayerView:
         assert checked == list(range(1, params.target_parts + 1))
 
 
+def assert_stored_cells_hold_their_clamped_values(layer, params, l):
+    """Every stored row N of every slice k, at every slack s up to one
+    past the stored width, reads unclamped as query_raw reads it after
+    the clamp chain."""
+    for k in range(params.max_part + 1):
+        rows, cols = _slice_shape(params, k)
+        for s in range(cols + 1):
+            got = [layer._column(k, range(N, N + 1), s) for N in range(rows)]
+            want = [[layer.query_raw(N, k, l, s)] for N in range(rows)]
+            assert got == want, (params, l, k, s)
+
+
 class TestRowReader:
-    """g_prime_rows gathers the cells the clamp chain leaves unchanged
-    one column at a time; it must read what g_prime reads cell by cell
-    (the conftest's read_matrix), errors included."""
+    """g_prime_rows gathers every stored cell of a column at once; it
+    must read what g_prime reads cell by cell (the conftest's
+    read_matrix), errors included."""
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_every_stored_cell_holds_its_clamped_value(self, full):
+        """What lets the gather start at row 0: query_raw clamps before
+        it reads, so no other test reads a stored cell whose own
+        coordinates the clamp chain would change."""
+        params, visited = _matrix_params(14, full), []
+
+        def visit(l, layer):
+            assert_stored_cells_hold_their_clamped_values(layer, params, l)
+            visited.append(l)
+
+        PartitionTable.build(params, layer_visitor=visit)
+        assert visited == list(range(1, 14))
+
+    def test_every_stored_cell_holds_its_clamped_value_on_primes(self):
+        params = TableParams(12, 40, 30)
+        assert _planes(params) == 2
+        assert_stored_cells_hold_their_clamped_values(
+            PartitionTable.build(params), params, 30)
 
     @pytest.mark.parametrize("full, ntop", [
         (False, 34), (True, 33),  # one 2^64 plane
