@@ -49,17 +49,19 @@ clamp chain; they differ only in how they fill it and read stored cells:
     s >= N, one array over N per k, which is all the disconnected-count
     path ever reads, and keeps the whole fill cubic in the vertex count.
 
-Every stored cell holds the value the clamp chain gives its own
-coordinates: row N of slice k in layer L holds the cell (N, min(k, N),
-min(L, N), min(s, N)).  By induction over the layers: row N's D term
-reads the sum N - k - l + 1, negative once k > N or l > N, so new minus
-old slice k telescopes to new minus old slice N for k > N, and to 0 for
-l > N.  Row N of every slice k > N thus changes with row N of slice N,
-and no row N changes after layer N.  Columns past N, and past S_k, are
-saturated.  So g_prime_rows reads a graphical matrix one degree column
-at a time: every stored row of the column is one strided read of a
-slice, rows past the last that holds a partition are 0, and only the
-cells of negative sum, outside the stored block, go through g_prime.
+In both flavours every stored cell holds the value the clamp chain
+gives its own coordinates: in layer L, row N of slice k read at slack s
+(column min(s, S_k); the bounded table's one column is s >= N) is the
+cell (N, min(k, N), min(L, N), min(s, N)).  By induction over the
+layers: row N's D term reads the sum N - k - l + 1, negative once k > N
+or l > N, so new minus old slice k telescopes to new minus old slice N
+for k > N, and to 0 for l > N.  Row N of every slice k > N thus changes
+with row N of slice N, and no row N changes after layer N.  Columns
+past N, and past S_k, are saturated.  So g_prime_rows reads a graphical
+matrix one degree column at a time: every stored row of the column is
+one strided read of a slice, rows past the last that holds a partition
+are 0, and only the cells of negative sum, outside the stored block, go
+through g_prime.
 
 Both builds refuse, before they allocate, a closed-form estimate of
 their bytes above the budget: the innermost :func:`memory_budget`'s
@@ -391,8 +393,9 @@ class PartitionTable:
         holds the value the clamp chain gives its own coordinates.  So
         where the table holds layer n - 1 and slice k - 1 (k < n) one
         strided read of the stored rows R >= 0 (_column) gives the cells,
-        and rows R > (k - 1)(n - 1) are 0; the rows of negative sum, and
-        any column the table does not hold, are read through g_prime.
+        and rows R > (k - 1)(n - 1) are 0.  The rows of negative sum,
+        rows past the stored block (which raise) and every cell of a
+        column the table does not hold are read through g_prime.
         """
         sums, p, cols = range(n + n % 2, max_sum + 1, 2), self.params, []
         for k in range(1, kmax + 1):

@@ -534,42 +534,38 @@ class TestLayerView:
         assert checked == list(range(1, params.target_parts + 1))
 
 
-def assert_stored_cells_hold_their_clamped_values(layer, params, l):
-    """Every stored row N of every slice k, at every slack s up to one
-    past the stored width, reads unclamped as query_raw reads it after
-    the clamp chain."""
-    for k in range(params.max_part + 1):
-        rows, cols = _slice_shape(params, k)
-        for s in range(cols + 1):
-            got = [layer._column(k, range(N, N + 1), s) for N in range(rows)]
-            want = [[layer.query_raw(N, k, l, s)] for N in range(rows)]
-            assert got == want, (params, l, k, s)
-
-
 class TestRowReader:
     """g_prime_rows gathers every stored cell of a column at once; it
     must read what g_prime reads cell by cell (the conftest's
     read_matrix), errors included."""
 
-    @pytest.mark.parametrize("full", [False, True])
-    def test_every_stored_cell_holds_its_clamped_value(self, full):
-        """What lets the gather start at row 0: query_raw clamps before
-        it reads, so no other test reads a stored cell whose own
-        coordinates the clamp chain would change."""
-        params, visited = _matrix_params(14, full), []
+    @pytest.mark.parametrize("params, first", [
+        (_matrix_params(14, False), 1),
+        (_matrix_params(14, True), 1),
+        (TableParams(12, 40, 30), 30),  # two prime planes: the last layer
+    ], ids=["half", "full", "primes"])
+    def test_every_stored_cell_holds_its_clamped_value(self, params, first):
+        """What lets the gather start at row 0: every stored row N of
+        every slice k, at every slack s up to one past the stored width,
+        reads unclamped as query_raw reads it after the clamp chain.  No
+        other test reads a stored cell whose own coordinates the clamp
+        chain would change."""
+        visited = []
 
         def visit(l, layer):
-            assert_stored_cells_hold_their_clamped_values(layer, params, l)
+            if l < first:
+                return
+            for k in range(params.max_part + 1):
+                rows, cols = _slice_shape(params, k)
+                for s in range(cols + 1):
+                    got = [layer._column(k, range(N, N + 1), s)
+                           for N in range(rows)]
+                    want = [[layer.query_raw(N, k, l, s)] for N in range(rows)]
+                    assert got == want, (params, l, k, s)
             visited.append(l)
 
         PartitionTable.build(params, layer_visitor=visit)
-        assert visited == list(range(1, 14))
-
-    def test_every_stored_cell_holds_its_clamped_value_on_primes(self):
-        params = TableParams(12, 40, 30)
-        assert _planes(params) == 2
-        assert_stored_cells_hold_their_clamped_values(
-            PartitionTable.build(params), params, 30)
+        assert visited == list(range(first, params.target_parts + 1))
 
     @pytest.mark.parametrize("full, ntop", [
         (False, 34), (True, 33),  # one 2^64 plane
