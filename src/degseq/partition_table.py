@@ -47,21 +47,27 @@ clamp chain; they differ only in how they fill it and read stored cells:
     get a table.
   * :class:`BoundedPartitionTable` stores only the s-saturated surface
     s >= N, one array over N per k, which is all the disconnected-count
-    path ever reads, and keeps the whole fill cubic in the vertex count.
+    path ever reads.  Every partition passes the test there, so a cell
+    is p(N; k, l), the partitions of N into at most l parts each at most
+    k.  A layer is filled over the last in place by the box identity
+    p(N; k, l) = p(N; k, l-1) + p(N-l; k-1, l) (a partition with exactly
+    l parts loses 1 from each): one shifted add per slice, and a fill
+    cubic in the vertex count.
 
 In both flavours every stored cell holds the value the clamp chain
 gives its own coordinates: in layer L, row N of slice k read at slack s
 (column min(s, S_k); the bounded table's one column is s >= N) is the
-cell (N, min(k, N), min(L, N), min(s, N)).  By induction over the
-layers: row N's D term reads the sum N - k - l + 1, negative once k > N
-or l > N, so new minus old slice k telescopes to new minus old slice N
-for k > N, and to 0 for l > N.  Row N of every slice k > N thus changes
-with row N of slice N, and no row N changes after layer N.  Columns
-past N, and past S_k, are saturated.  So g_prime_rows reads a graphical
-matrix one degree column at a time: every stored row of the column is
-one strided read of a slice, rows past the last that holds a partition
-are 0, and only the cells of negative sum, outside the stored block, go
-through g_prime.
+cell (N, min(k, N), min(L, N), min(s, N)).  A bounded cell is a box
+count, which clamping k and l to N leaves as it is.  In the full table
+it holds by induction over the layers: row N's D term reads the sum
+N - k - l + 1, negative once k > N or l > N, so new minus old slice k
+telescopes to new minus old slice N for k > N, and to 0 for l > N.  Row
+N of every slice k > N thus changes with row N of slice N, and no row N
+changes after layer N.  Columns past N, and past S_k, are saturated.
+So g_prime_rows reads a graphical matrix one degree column at a time:
+every stored row of the column is one strided read of a slice, rows
+past the last that holds a partition are 0, and only the cells of
+negative sum, outside the stored block, go through g_prime.
 
 Both builds refuse, before they allocate, a closed-form estimate of
 their bytes above the budget: the innermost :func:`memory_budget`'s
@@ -197,15 +203,15 @@ def estimate_table_bytes(params: TableParams) -> int:
 
 
 def estimate_bounded_bytes(params: TableParams) -> int:
-    """Estimated peak bytes of a bounded table build: two layers of
-    (K + 1)(M + 1) slots, each a pointer and a CPython int (24 bytes and
-    4 per 30-bit digit, in 16-byte blocks) of at most p(M) < e^(pi
-    sqrt(2M/3)), K = max_part and M = max_sum, plus 8 bytes a slot for
-    the allocator: the resident peak runs about 10% above the blocks."""
+    """Estimated peak bytes of a bounded table build: one layer of
+    (K + 1)(M + 1) slots, the fill's only storage, each a pointer and a
+    CPython int (24 bytes and 4 per 30-bit digit, in 16-byte blocks) of
+    at most p(M) < e^(pi sqrt(2M/3)), K = max_part and M = max_sum, plus
+    8 bytes a slot for the allocator."""
     M = params.max_sum
     digits = int(math.pi * math.sqrt(2 * M / 3) / math.log(2)) // 30 + 1
     slot = 16 + 16 * -(-(24 + 4 * digits) // 16)
-    return 2 * (params.max_part + 1) * (M + 1) * slot
+    return (params.max_part + 1) * (M + 1) * slot
 
 
 def _update(dst, src, mod):
@@ -428,35 +434,28 @@ class PartitionTable:
 class BoundedPartitionTable(PartitionTable):
     """The s-saturated surface of the partition counts, s >= N everywhere.
 
-    For slack at least the sum, the prefix test can only bind through
-    the corank deficit, which the recurrence keeps on the surface: the
-    shifted lookup moves the slack-minus-sum gap by 2(l - 1) >= 0, so
-    saturated cells are computed entirely from saturated cells.  Storage
-    and fill are (max_part + 1) x (max_sum + 1) per layer with only the
-    final layer retained.  Queries pass through the same clamp chain and
-    residency rule as the full table; a clamped slack below the sum is
-    refused, so g_prime(N, k, l) is answered for N <= 2(l - 1), where
-    its read lands on the surface, and above only where it clamps to 0.
+    There every partition passes the prefix test, so the table holds
+    one layer of box counts p(N; k, l), (max_part + 1) x (max_sum + 1)
+    Python ints, filled by the box identity (module docstring).  Queries
+    pass through the same clamp chain and residency rule as the full
+    table; a clamped slack below the sum is refused, so g_prime(N, k, l)
+    is answered for N <= 2(l - 1), where its read lands on the surface,
+    and above only where it clamps to 0.
     """
 
     @classmethod
     def build(cls, params: TableParams) -> "BoundedPartitionTable":
         _check_budget(estimate_bounded_bytes(params))
-        M, K, target = params.max_sum, params.max_part, params.target_parts
-        # Slices are never written once filled, so one array serves as
-        # slice 0 of every layer and as every slice of layer 0.
-        base = np.zeros(M + 1, dtype=object)
-        base[0] = 1
-        prev = [base] * (K + 1)
-        for l in range(1, target + 1):
-            cur = [base]
-            for k in range(1, K + 1):
-                shift = k + l - 1
-                out = cur[k - 1] + prev[k] - prev[k - 1]
-                out[shift:] += prev[k - 1][: max(0, M + 1 - shift)]
-                cur.append(out)
-            prev = cur
-        return cls(params, prev)
+        M = params.max_sum
+        slices = [np.zeros(M + 1, dtype=object)
+                  for _ in range(params.max_part + 1)]
+        for cells in slices:
+            cells[0] = 1  # layer 0: the empty partition of N = 0
+        for l in range(1, params.target_parts + 1):
+            for k in range(1, len(slices)):
+                # Slice k - 1 already holds layer l, slice k layer l - 1.
+                slices[k][l:] += slices[k - 1][: max(0, M + 1 - l)]
+        return cls(params, slices)
 
     def _column(self, k: int, rows: range, s: int) -> list:
         if rows and s < rows[-1]:

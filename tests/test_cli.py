@@ -314,8 +314,8 @@ class TestExitCodes:
         assert_refused_within_two_seconds("--quantity", "d", "--n", "10000000")
 
     def test_huge_dd_is_refused_within_two_seconds(self):
-        # The bounded dd table: 2 * (10^7 - 3)^2 slots of 1,616 bytes,
-        # about 3e17 bytes, above any machine's memory.
+        # The bounded dd table: one layer of (10^7 - 3)^2 slots of 1,616
+        # bytes, about 1.6e17 bytes, above any machine's memory.
         assert_refused_within_two_seconds(
             "--quantity", "dd", "--n", "10000000"
         )

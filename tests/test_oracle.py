@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degseq import oracle
-from degseq.degree_counts import DnSeries, extend_series
+from degseq.degree_counts import DnSeries, extend_series, graphical_matrix
 from degseq.errors import OracleCapError
 from degseq.oracle import (
     _validate,
@@ -13,6 +13,7 @@ from degseq.oracle import (
     is_graphical_eg,
     oracle_counts,
 )
+from test_partition_table import iter_partitions
 
 
 def is_graphical_nw(seq) -> bool:
@@ -226,3 +227,56 @@ class TestOracleCounts:
     def test_cap_enforced(self):
         with pytest.raises(OracleCapError):
             oracle_counts(9, cap=8)
+
+
+def extreme_rows(n, jmax):
+    """The rows of n's full-height graphical matrix within 2 * jmax of
+    either end, by enumeration: yields each row's sum N with its counts
+    over the largest degree k = 1..n - 1.
+
+    Both ends come from partitions q into at most n parts, each at most
+    n - 2, padded with zeros to n terms.  At the bottom, degrees 1 + q
+    with q a partition of r = 2j + n % 2 sum to N = n + r, with largest
+    1 + q_1.  At the top, q is a partition of 2j and degrees n - 1 - q,
+    its complement, sum to N = n(n - 1) - 2j, with largest n - 1 - q_n;
+    they are graphical exactly when q is (complement the graph).  Each
+    row costs p(r) or p(2j) criterion calls, whatever n is.
+    """
+    def padded(r):
+        for q in iter_partitions(r, n - 2, n):
+            yield q + (0,) * (n - len(q))
+
+    for j in range(jmax + 1):
+        bottom, top = [0] * (n - 1), [0] * (n - 1)
+        for q in padded(2 * j + n % 2):
+            if is_graphical_eg(tuple(1 + x for x in q)):
+                bottom[q[0]] += 1
+        for q in padded(2 * j):
+            if is_graphical_eg(q):
+                top[n - 2 - q[-1]] += 1
+        yield n + n % 2 + 2 * j, bottom
+        yield n * (n - 1) - 2 * j, top
+
+
+class TestExtremeRows:
+    """An oracle past the enumeration's reach: the rows within 32 of
+    either end of the graphical matrix, against the table's, at n = 36
+    and 37 (two prime residue planes, both parities of n)."""
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_both_ends_match_the_oracle_histogram(self, n):
+        # With 2j up to n(n - 1)/2 the two ends overlap: every row is
+        # enumerated, some from both ends.
+        want = {N: [0] * (n - 1) for N in range(n + n % 2, n * n - n + 1, 2)}
+        for (N, k, _), count in oracle._histogram(n).items():
+            want[N][k - 1] += count
+        got = list(extreme_rows(n, n * (n - 1) // 4))
+        assert {N for N, _ in got} == set(want)
+        for N, row in got:
+            assert row == want[N], (n, N)
+
+    @pytest.mark.parametrize("n", [36, 37])
+    def test_extreme_rows_match_the_matrix(self, n):
+        matrix = graphical_matrix(n)
+        for N, row in extreme_rows(n, 16):
+            assert matrix[N] == row, (n, N)

@@ -539,32 +539,44 @@ class TestRowReader:
     must read what g_prime reads cell by cell (the conftest's
     read_matrix), errors included."""
 
-    @pytest.mark.parametrize("params, first", [
-        (_matrix_params(14, False), 1),
-        (_matrix_params(14, True), 1),
-        (TableParams(12, 40, 30), 30),  # two prime planes: the last layer
-    ], ids=["half", "full", "primes"])
-    def test_every_stored_cell_holds_its_clamped_value(self, params, first):
+    @pytest.mark.parametrize("cls, params, first", [
+        (PartitionTable, _matrix_params(14, False), 1),
+        (PartitionTable, _matrix_params(14, True), 1),
+        # Two prime planes: the last layer.
+        (PartitionTable, TableParams(12, 40, 30), 30),
+        # The bounded table's one layer, where l binds rows N > 5k.
+        (BoundedPartitionTable, TableParams(30, 8, 5), 5),
+        (BoundedPartitionTable, TableParams(24, 24, 27), 27),  # dd(28)
+    ], ids=["half", "full", "primes", "bounded", "bounded-dd"])
+    def test_every_stored_cell_holds_its_clamped_value(self, cls, params,
+                                                       first):
         """What lets the gather start at row 0: every stored row N of
-        every slice k, at every slack s up to one past the stored width,
-        reads unclamped as query_raw reads it after the clamp chain.  No
-        other test reads a stored cell whose own coordinates the clamp
-        chain would change."""
+        every slice k, at every slack s up to one past the stored width
+        (the bounded table: at s = N, its surface), reads unclamped as
+        query_raw reads it after the clamp chain.  No other test reads a
+        stored cell whose own coordinates the clamp chain would change."""
         visited = []
 
         def visit(l, layer):
             if l < first:
                 return
             for k in range(params.max_part + 1):
-                rows, cols = _slice_shape(params, k)
-                for s in range(cols + 1):
-                    got = [layer._column(k, range(N, N + 1), s)
-                           for N in range(rows)]
-                    want = [[layer.query_raw(N, k, l, s)] for N in range(rows)]
-                    assert got == want, (params, l, k, s)
+                if cls is BoundedPartitionTable:
+                    cells = [(N, N) for N in range(params.max_sum + 1)]
+                else:
+                    rows, cols = _slice_shape(params, k)
+                    cells = [(N, s) for s in range(cols + 1)
+                             for N in range(rows)]
+                got = [layer._column(k, range(N, N + 1), s)
+                       for N, s in cells]
+                want = [[layer.query_raw(N, k, l, s)] for N, s in cells]
+                assert got == want, (params, l, k)
             visited.append(l)
 
-        PartitionTable.build(params, layer_visitor=visit)
+        if cls is BoundedPartitionTable:
+            visit(params.target_parts, cls.build(params))
+        else:
+            cls.build(params, layer_visitor=visit)
         assert visited == list(range(first, params.target_parts + 1))
 
     @pytest.mark.parametrize("full, ntop", [
@@ -665,6 +677,8 @@ class TestBoundedTable:
     @settings(max_examples=60, deadline=None)
     @given(SHAPES)
     @example(TableParams(16, 6, 8))
+    @example(TableParams(30, 8, 5))  # l binds rows N > 5k
+    @example(TableParams(9, 0, 3))  # slice 0 only
     def test_matches_full_table_at_max_slack(self, params):
         full = PartitionTable.build(params)
         bounded = BoundedPartitionTable.build(params)
@@ -720,18 +734,20 @@ class TestBoundedTable:
     def test_estimate_covers_the_peak(self):
         """The peak resident growth of a dd-sized build, n = 28..266, each
         in a fresh process, is at most the estimate plus a fixed margin
-        for the allocator's arenas and the fill's temporaries (the
-        growth runs about 85 KB above the estimate at n = 28); at
-        n = 200 the growth varies by about 0.2 MB between runs.  n = 266
-        is the last n whose ints the estimate sizes at two digits, so
-        its slots are charged least against their real size.
+        for the allocator's arenas (the growth runs about 105 KB above
+        the estimate at n = 28); at n = 266 it varies by about 70 KB
+        between runs.  n = 266 is the last n whose ints the estimate
+        sizes at two digits, so its slots are charged least against
+        their real size.  The estimate charges the one layer the fill
+        keeps: a fill holding two layers at once grows 2.8 MB at n = 200,
+        against an estimate of 1.9 MB.
 
-        tracemalloc sees 20.8, 31.0, 34.8 and 38.1 bytes per slot and
-        layer at n = 28..200, but slows the n = 200 fill 40-fold; the
-        resident growth reads 39 to 44 bytes, against the estimate's
-        48.  The child reads VmHWM, the peak of its own address space;
-        ru_maxrss would carry over the peak of the process that started
-        it, this test run's.
+        tracemalloc sees 22.9, 31.2, 34.8 and 38.9 bytes per slot at
+        n = 28..200, but slows the n = 200 fill 40-fold; the resident
+        growth reads 37 to 45 bytes at n = 100..266, against the
+        estimate's 48.  The child reads VmHWM, the peak of its own
+        address space; ru_maxrss would carry over the peak of the
+        process that started it, this test run's.
         """
         src = os.path.dirname(os.path.dirname(partition_table.__file__))
         env = {**os.environ, "PYTHONPATH": src}
