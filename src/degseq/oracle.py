@@ -13,8 +13,9 @@ One pass over E(n) keeps a histogram of its graphical members by
 the oracle's counterpart of the dynamic program's graphical matrix.
 Every CountReport field is then a masked sum of that histogram, each
 with its own predicate in _FIELDS, so that every cross-module identity
-remains a genuine check.  Deciding a candidate costs one pass over it:
-builtin checks of order, sign and parity, then one loop up to the
+remains a genuine check.  Deciding a candidate costs one C-level sort
+for order (it equals the sequence exactly when no term is below its
+successor), builtin checks of sign and parity, then one loop up to the
 crossing index with running sums and no lists.  Enumeration cost grows
 roughly fourfold per vertex, so a cap (default 14) guards against
 accidental huge runs.
@@ -22,7 +23,6 @@ accidental huge runs.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -48,7 +48,14 @@ def enumerate_even_bounded(n: int) -> Iterator[tuple]:
 
 
 def _validate(seq) -> None:
-    if any(map(operator.lt, seq, seq[1:])):
+    """Raise ValueError unless seq is non-increasing, nonnegative and of
+    even sum, checked in that order.
+
+    Order is one C-level sort: sorted(seq, reverse=True) equals seq
+    exactly when no term is below its successor, without the slice and
+    the per-pair Python calls of a pairwise scan.
+    """
+    if sorted(seq, reverse=True) != list(seq):
         raise ValueError("sequence must be non-increasing")
     if seq and seq[-1] < 0:
         raise ValueError("degrees are nonnegative")

@@ -93,6 +93,30 @@ NONINCREASING = st.integers(0, 40).flatmap(
 ).map(lambda terms: sorted(terms, reverse=True))
 
 
+# Integer sequences, negatives included, either as drawn or sorted
+# non-increasing: a raw draw is rarely ordered, so the sorted half is
+# what reaches the sign and parity checks.  A small drawn cap keeps
+# runs of equal terms common.
+INTEGER_SEQUENCES = st.integers(0, 6).flatmap(
+    lambda cap: st.lists(st.integers(-2, cap), max_size=12)
+).flatmap(
+    lambda terms: st.sampled_from([terms, sorted(terms, reverse=True)])
+)
+
+
+def validation_error(seq):
+    """The message _validate must raise for seq, from the definitions
+    checked in order: every adjacent pair non-increasing, every term
+    nonnegative, an even sum; None when all three hold."""
+    if any(a < b for a, b in zip(seq, seq[1:])):
+        return "sequence must be non-increasing"
+    if any(d < 0 for d in seq):
+        return "degrees are nonnegative"
+    if sum(seq) % 2:
+        return "degree sum must be even"
+    return None
+
+
 def textbook_eg(seq):
     """Erdős–Gallai as stated, for a non-increasing even-sum sequence:
     for every k = 1..n, the k largest terms sum to at most
@@ -146,6 +170,33 @@ class TestGraphicalityCriteria:
     def test_empty_and_all_zero_are_graphical(self, checker, seq):
         assert checker(seq) is True
         assert checker(list(seq)) is True
+
+    @settings(max_examples=500)
+    @given(INTEGER_SEQUENCES)
+    @example([])
+    @example([0, 0, 0])
+    @example([3, 3, 3, 3])
+    @example([2, 2, 1, 1, 0, 0])
+    @example([0, -1])  # a negative after a zero, odd sum: sign first
+    @example([1, 0, -1])  # a negative after a zero, even sum
+    @example([2, 1])  # odd sum
+    @example([-1, 1])  # unsorted and negative: order first
+    @example([1, 2, 2])  # unsorted and odd sum: order first
+    @example([1, 1, 2, 2])
+    def test_validate_raises_exactly_on_the_first_failed_definition(
+        self, seq
+    ):
+        """_validate raises exactly when the pairwise order, sign or
+        parity definition fails, with the message of the first that
+        fails, as tuples and as lists."""
+        want = validation_error(seq)
+        for form in (tuple(seq), list(seq)):
+            if want is None:
+                assert _validate(form) is None
+            else:
+                with pytest.raises(ValueError) as err:
+                    _validate(form)
+                assert str(err.value) == want, (form, want)
 
     @settings(max_examples=300)
     @given(NONINCREASING)
