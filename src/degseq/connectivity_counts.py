@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .degree_counts import DnSeries, count_d0, graphical_matrix
-from .partition_table import BoundedPartitionTable, TableParams, unrestricted_p
+from .partition_table import (
+    BoundedPartitionTable, graphical_params, unrestricted_p)
 
 
 @dataclass
@@ -73,18 +74,18 @@ def count_dd(n: int) -> int:
     """dd(n): graphical zero-free sequences with sum below 2(n - 1).
 
     A sum of at most 2n - 4 over n positive degrees leaves the largest
-    at most n - 3, and a read g'(N, k, n) with N <= 2n - 3 and k >= 1
-    reaches sums of at most n - 4 on the saturated slack surface, so a
-    bounded table sized max_sum = n - 4 suffices; the work is cubic.
+    at most n - 3.  A read g'(N, k, n) with N <= 2n - 3 and k >= 1 lands
+    on the saturated slack surface, sum at most n - 3 - k below slack
+    n - k - 1, so a bounded table sized by graphical_params for that
+    read serves it; the work is cubic.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if n < 4:
         return 0  # no even sum lies in [n, 2n - 3]
-    table = BoundedPartitionTable.build(
-        TableParams(max_sum=n - 4, max_part=n - 4, target_parts=n - 1)
-    )
-    return sum(map(sum, table.g_prime_rows(n, 2 * n - 3, n - 3).values()))
+    top, kmax = 2 * n - 3, n - 3
+    table = BoundedPartitionTable.build(graphical_params(n, top, kmax))
+    return sum(map(sum, table.g_prime_rows(n, top, kmax).values()))
 
 
 def count_dc_indirect(n: int, d_n: int) -> int:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import MissingPriorError
-from .partition_table import PartitionTable, TableParams
+from .partition_table import PartitionTable, TableParams, graphical_params
 
 FAMILIES = ("G", "L", "H")
 _MATRIX: dict = {}  # n -> (full height?, matrix), one n at a time
@@ -214,15 +214,8 @@ def _extent(n: int, full: bool) -> tuple:
 
 
 def _matrix_params(n: int, full: bool) -> TableParams:
-    """The smallest table that serves n's graphical matrix at a height.
-
-    A cell reads sum N - k - n + 1 and part bound k - 1, and sums above
-    (k - 1)(n - 1) are zero by the clamp chain without being stored.
-    """
-    top, kmax = _extent(n, full)
-    max_part = max(0, kmax - 1)
-    stored = min(top - n, max_part * (n - 1))
-    return TableParams(max(0, stored), max_part, target_parts=n - 1)
+    """The table that serves n's graphical matrix at a height."""
+    return graphical_params(n, *_extent(n, full))
 
 
 def _harvest(ns: range, full: bool, visit) -> None:

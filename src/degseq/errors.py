@@ -10,13 +10,14 @@ class DegseqError(Exception):
 
 
 class MemoryBudgetError(DegseqError):
-    """A table build was refused because its estimated footprint exceeds the cap."""
+    """A table build was refused: the running total of its arrays passed
+    the cap at ``estimated_bytes``, a lower bound on what it needs."""
 
     def __init__(self, estimated_bytes: int, cap_bytes: int):
         self.estimated_bytes = estimated_bytes
         self.cap_bytes = cap_bytes
         super().__init__(
-            f"table would need about {estimated_bytes} bytes "
+            f"table would need at least {estimated_bytes} bytes "
             f"but the memory cap is {cap_bytes} bytes"
         )
 

@@ -64,14 +64,17 @@ N - k - l + 1, negative once k > N or l > N, so new minus old slice k
 telescopes to new minus old slice N for k > N, and to 0 for l > N.  Row
 N of every slice k > N thus changes with row N of slice N, and no row N
 changes after layer N.  Columns past N, and past S_k, are saturated.
-So g_prime_rows reads a graphical matrix one degree column at a time:
-every stored row of the column is one strided read of a slice, rows
-past the last that holds a partition are 0, and only the cells of
-negative sum, outside the stored block, go through g_prime.
+So g_prime_rows reads a graphical matrix one degree column at a time
+from the table graphical_params sizes for it: every stored row of the
+column is one strided read of a slice, rows past the last that holds a
+partition are 0, and only the cells of negative sum go through g_prime.
 
-Both builds refuse, before they allocate, a closed-form estimate of
-their bytes above the budget: the innermost :func:`memory_budget`'s
-cap, else DEFAULT_MEMORY_CAP.
+Both builds refuse, before they allocate, a table whose bytes pass the
+budget: the innermost :func:`memory_budget`'s cap, else
+DEFAULT_MEMORY_CAP.  A full table's bytes are those of the arrays its
+build allocates, summed slice by slice from _slice_shape, and the sum
+stops at the first running total above the cap, so a hopeless table is
+refused after its first few slices.
 
 :func:`unrestricted_p` gives the ordinary partition numbers p(j) by the
 pentagonal-number recurrence.
@@ -85,7 +88,7 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -118,11 +121,14 @@ def memory_budget(cap: int | None):
         _BUDGET.reset(token)
 
 
-def _check_budget(estimate: int) -> None:
-    """Refuse ``estimate`` bytes above the budget in force."""
-    cap = _BUDGET.get()
-    if estimate > cap:
-        raise MemoryBudgetError(estimate, cap)
+def _check_budget(sizes: Iterable[int]) -> None:
+    """Refuse arrays of ``sizes`` bytes each at the first running total
+    above the budget in force."""
+    cap, total = _BUDGET.get(), 0
+    for size in sizes:
+        total += size
+        if total > cap:
+            raise MemoryBudgetError(total, cap)
 
 
 # Moduli of the residue planes of tables too large for one 2^64 plane.
@@ -164,42 +170,33 @@ def _slice_shape(params: TableParams, k: int) -> tuple:
             min((k + 1) * (k + 1) // 4, M) + 1)
 
 
-def _power_sums(x: int) -> tuple:
-    """Sums over k = 1..x of 1, k, g(k) and k*g(k), g(k) = (k+1)^2 // 4,
-    in closed form: with j = k + 1, g = (j^2 - j % 2) / 4."""
-    j, odd = x + 1, (x + 2) // 2  # odd: how many odd j in 1..x+1
-    s1 = j * (j + 1) // 2
-    s2 = s1 * (2 * j + 1) // 3
-    kg = (s1 * s1 - s2 - odd * (odd - 1)) // 4
-    return x, x * (x + 1) // 2, (s2 - odd) // 4, kg
+def graphical_params(n: int, top: int, kmax: int) -> TableParams:
+    """The table g_prime_rows(n, top, kmax) reads from.
+
+    g_prime(N, k, n) reads row N - k - n + 1 of slice k - 1 in layer
+    n - 1.  Over the even N <= top and k = 1..kmax that row is at most
+    top - top % 2 - n, and rows above (k - 1)(n - 1) hold no partition,
+    so they are read as 0 without being stored.
+    """
+    rows = min(top - top % 2 - n, (kmax - 1) * (n - 1))
+    return TableParams(max(0, rows), max(0, kmax - 1), n - 1)
+
+
+def _array_bytes(params: TableParams) -> Iterator[int]:
+    """The bytes of each array a full build allocates: slices
+    k = 0..max_part (_slice_shape), then the fill's save and difference
+    arrays, each the size of slice max_part, the largest, then on prime
+    planes one scratch array of that size."""
+    planes = _planes(params)
+    for k in range(params.max_part + 1):
+        yield 8 * planes * math.prod(_slice_shape(params, k))
+    largest = 8 * planes * math.prod(_slice_shape(params, params.max_part))
+    yield from [largest] * (2 + (planes > 1))
 
 
 def estimate_table_bytes(params: TableParams) -> int:
-    """Estimated peak memory of a full table build, in bytes.
-
-    The table holds 8 bytes per plane for every cell of slices
-    k = 0..max_part (_slice_shape), slice 0 being one cell, plus the
-    fill's save and difference arrays, each the size of slice max_part,
-    the largest; prime planes add one scratch array of that size too.
-    Slice k has k*L + 1 rows up to the last k with k*L <= M, then M + 1,
-    and g(k) + 1 columns up to the last k with g(k) <= M, then M + 1;
-    summed in closed form between those two k, so even a huge table is
-    refused in constant time.
-    """
-    planes, M = _planes(params), params.max_sum
-    K, L = params.max_part, params.target_parts
-    k_rows = K if L == 0 else min(K, M // L)
-    k_cols = min(K, math.isqrt(4 * M + 3) - 1)
-    cells, lo = 0, 0
-    for hi in sorted({k_rows, k_cols, K}):
-        r1, r0 = (L, 1) if hi <= k_rows else (0, M + 1)
-        c1, c0 = (1, 1) if hi <= k_cols else (0, M + 1)
-        s = [b - a for a, b in zip(_power_sums(lo), _power_sums(hi))]
-        cells += (r0 * s[0] + r1 * s[1]) * c0 + (r0 * s[2] + r1 * s[3]) * c1
-        lo = hi
-    largest = math.prod(_slice_shape(params, K))
-    scratch = largest if planes > 1 else 0
-    return 8 * planes * (cells + 1 + 2 * largest + scratch)
+    """Peak memory of a full table build, in bytes: its arrays' sum."""
+    return sum(_array_bytes(params))
 
 
 def estimate_bounded_bytes(params: TableParams) -> int:
@@ -309,11 +306,11 @@ class PartitionTable:
                 the fill then overwrites its slices in place.
 
         Raises:
-            MemoryBudgetError: the estimated table size exceeds the budget.
+            MemoryBudgetError: the table's arrays would pass the budget.
             ValueError: max_part + target_parts needs more residue
                 planes than there are fixed moduli (above 366).
         """
-        _check_budget(estimate_table_bytes(params))
+        _check_budget(_array_bytes(params))
         planes = _planes(params)
         if planes > len(_PRIMES):
             raise ValueError(f"{planes} residue planes exceed the moduli")
@@ -389,34 +386,35 @@ class PartitionTable:
         return self.query_raw(N - k - l + 1, k - 1, l - 1, l - k - 1)
 
     def g_prime_rows(self, n: int, max_sum: int, kmax: int) -> dict:
-        """g_prime(N, k, n) over the even N in [n, max_sum], k = 1..kmax.
+        """g_prime(N, k, n) over the even N in [n, max_sum], k = 1..kmax,
+        from a table of layer n - 1 that covers graphical_params(n,
+        max_sum, kmax), with kmax < n.
 
-        Returns a mapping from each such N to a new list over k.  A k too
-        large for N (k > N - n + 1) reads 0 through the clamp chain.
+        Returns a mapping from each such N to a new list over k.  Column
+        k is the cells (N - k - n + 1, k - 1, n - k - 1), each stored as
+        the clamp chain gives it: one strided read of slice k - 1
+        (_column) up to row (k - 1)(n - 1), zeros above, and the cells of
+        negative sum, outside the stored block, through g_prime.
 
-        Column k is read at once: g_prime(N, k, n) reads cell (R, k - 1,
-        n - k - 1) of layer n - 1, R = N - k - n + 1, and every stored cell
-        holds the value the clamp chain gives its own coordinates.  So
-        where the table holds layer n - 1 and slice k - 1 (k < n) one
-        strided read of the stored rows R >= 0 (_column) gives the cells,
-        and rows R > (k - 1)(n - 1) are 0.  The rows of negative sum,
-        rows past the stored block (which raise) and every cell of a
-        column the table does not hold are read through g_prime.
+        Raises, before any read:
+            LayerNotResidentError: the table holds another layer.
+            ValueError: kmax >= n, or the table is too small.
         """
-        sums, p, cols = range(n + n % 2, max_sum + 1, 2), self.params, []
+        p, need = self.params, graphical_params(n, max_sum, kmax)
+        if p.target_parts != n - 1:
+            raise LayerNotResidentError(
+                f"layer {n - 1} is not the held layer {p.target_parts}")
+        if kmax >= n or need.max_sum > p.max_sum or need.max_part > p.max_part:
+            raise ValueError(f"reading n={n} to degree {kmax} needs kmax < n "
+                             f"and a table covering {need}, not {p}")
+        sums, cols = range(n + n % 2, max_sum + 1, 2), []
         for k in range(1, kmax + 1):
             rows = range(sums.start - k - n + 1, sums.stop - k - n + 1, 2)
-            a = b = z = len(rows)
-            gathered = []
-            if k < n and k <= p.max_part + 1 and p.target_parts == n - 1:
-                top = (k - 1) * (n - 1)  # rows above it hold no partition
-                a, b, z = (len(range(rows.start, R, 2)) for R in (
-                    0, min(top, p.max_sum) + 1, top + 1))
-                gathered = self._column(k - 1, rows[a:b], n - k - 1)
-            cols.append(
-                [self.g_prime(N, k, n) for N in sums[:a]] + gathered
-                + [self.g_prime(N, k, n) for N in sums[b:z]]
-                + [0] * (len(rows) - z))
+            a, b = (len(range(rows.start, R, 2))
+                    for R in (0, (k - 1) * (n - 1) + 1))
+            cols.append([self.g_prime(N, k, n) for N in sums[:a]]
+                        + self._column(k - 1, rows[a:b], n - k - 1)
+                        + [0] * (len(rows) - b))
         return {N: row for N, *row in zip(sums, *cols, strict=True)}
 
     def _column(self, k: int, rows: range, s: int) -> list:
@@ -445,7 +443,7 @@ class BoundedPartitionTable(PartitionTable):
 
     @classmethod
     def build(cls, params: TableParams) -> "BoundedPartitionTable":
-        _check_budget(estimate_bounded_bytes(params))
+        _check_budget([estimate_bounded_bytes(params)])
         M = params.max_sum
         slices = [np.zeros(M + 1, dtype=object)
                   for _ in range(params.max_part + 1)]

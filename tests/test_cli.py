@@ -96,9 +96,11 @@ class TestCount:
     @pytest.mark.parametrize(
         "quantity,n,params,value",
         [
-            # b(20) = d0(18) reads the series only up to d(18).
-            ("b", 20, TableParams(135, 15, 17), 675759564),
-            ("d", 30, TableParams(405, 27, 29), 5876236938019298),
+            # b(20) = d0(18) reads the series only up to d(18).  Both
+            # half heights, 153 and 435, are odd, and no read reaches
+            # an odd sum: max_sum is the even top less n.
+            ("b", 20, TableParams(134, 15, 17), 675759564),
+            ("d", 30, TableParams(404, 27, 29), 5876236938019298),
         ],
     )
     def test_uncached_count_builds_the_table_it_reads(
@@ -310,8 +312,12 @@ class TestExitCodes:
         assert out == ""
         assert "cap" in err
 
-    def test_huge_n_is_refused_within_two_seconds(self):
-        assert_refused_within_two_seconds("--quantity", "d", "--n", "10000000")
+    # d fills a half-height table, s a full-height one.
+    @pytest.mark.parametrize("quantity", ["d", "s"])
+    def test_huge_n_is_refused_within_two_seconds(self, quantity):
+        assert_refused_within_two_seconds(
+            "--quantity", quantity, "--n", "10000000"
+        )
 
     def test_huge_dd_is_refused_within_two_seconds(self):
         # The bounded dd table: one layer of (10^7 - 3)^2 slots of 1,616

@@ -194,9 +194,9 @@ class TestGraphicalMatrix:
                 assert cols[n - 3] == count_s(n)
             # Both heights, as (largest sum, largest degree), hold the
             # same cells whether copied from the memo or read from the
-            # smallest table that serves them, which is how a fill of
-            # that height is sized.  The table is built and read here,
-            # independently of the memo.
+            # table graphical_params sizes for them, which is how a fill
+            # of that height is sized.  The table is built and read
+            # here, independently of the memo.
             heights = {True: (n * (n - 1), n - 1),
                        False: (n * (n - 1) // 2, n - 2)}
             for height, (top, kmax) in heights.items():
@@ -341,8 +341,9 @@ class TestDnSeries:
 class TestExtendSeries:
     def test_one_table_build(self, table_builds):
         series = extend_series(DnSeries(), 14)
-        # One table, covering the lower half of the L profile of 14.
-        assert table_builds == [TableParams(14 * 13 // 2 - 14, 11, 13)]
+        # One table, covering the lower half of the L profile of 14: its
+        # sums up to 90, the last even one below 14 * 13 / 2.
+        assert table_builds == [TableParams(90 - 14, 11, 13)]
         assert [series[n] for n in KNOWN_D] == list(KNOWN_D.values())
 
     def test_resume_from_every_prefix(self):

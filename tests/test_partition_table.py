@@ -8,7 +8,6 @@ transcription of the recurrence checks the vectorized layer fill.
 
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -34,6 +33,7 @@ from degseq.partition_table import (
     _slice_shape,
     estimate_bounded_bytes,
     estimate_table_bytes,
+    graphical_params,
     memory_budget,
     unrestricted_p,
 )
@@ -379,25 +379,6 @@ class TestFirstRowColumnBridge:
             table.g_prime(7, 3, 4)
 
 
-# Shapes with every ordering of the row and column thresholds k*L <= M
-# and (k+1)^2 // 4 <= M against max_part.
-WIDE_SHAPES = st.builds(
-    TableParams,
-    max_sum=st.integers(0, 5000),
-    max_part=st.integers(0, 400),
-    target_parts=st.integers(0, 400),
-)
-
-
-def loop_estimate(params):
-    """estimate_table_bytes as a sum over every part bound k."""
-    planes, K = _planes(params), params.max_part
-    cells = sum(math.prod(_slice_shape(params, k)) for k in range(K + 1))
-    largest = math.prod(_slice_shape(params, K))
-    scratch = largest if planes > 1 else 0
-    return 8 * planes * (cells + 2 * largest + scratch)
-
-
 class TestMemoryBudget:
     def test_estimate_grows_with_dimensions(self):
         small = estimate_table_bytes(TableParams(10, 4, 4))
@@ -452,21 +433,16 @@ class TestMemoryBudget:
                 params, peak, estimate
             )
 
-    def test_closed_form_matches_the_loop_over_k(self):
-        for n in range(1, 301):
-            for full in (True, False):
-                params = _matrix_params(n, full)
-                assert estimate_table_bytes(params) == (
-                    loop_estimate(params)
-                ), params
-
-    @given(SHAPES | WIDE_SHAPES)
-    @example(TableParams(0, 5, 5))
-    @example(TableParams(7, 0, 3))
-    @example(TableParams(9, 4, 0))
-    @example(TableParams(14, 30, 100))  # three prime planes
-    def test_closed_form_matches_the_loop_on_random_shapes(self, params):
-        assert estimate_table_bytes(params) == loop_estimate(params)
+    def test_refusal_stops_at_the_first_total_above_the_cap(self):
+        """The running total passes the cap within the slices, so the
+        error reports it, above the cap and below the whole estimate."""
+        params = TableParams(600, 20, 20)
+        cap = estimate_table_bytes(params) // 2
+        with memory_budget(cap), pytest.raises(MemoryBudgetError) as err:
+            PartitionTable.build(params)
+        assert err.value.cap_bytes == cap
+        assert cap < err.value.estimated_bytes < estimate_table_bytes(params)
+        assert "at least" in str(err.value)
 
     @pytest.mark.parametrize("full", [True, False])
     def test_huge_table_is_estimated_quickly(self, full):
@@ -535,9 +511,10 @@ class TestLayerView:
 
 
 class TestRowReader:
-    """g_prime_rows gathers every stored cell of a column at once; it
-    must read what g_prime reads cell by cell (the conftest's
-    read_matrix), errors included."""
+    """g_prime_rows gathers every stored cell of a column at once.
+    Inside its contract it must read what g_prime reads cell by cell
+    (the conftest's read_matrix); outside it, it raises before any
+    read."""
 
     @pytest.mark.parametrize("cls, params, first", [
         (PartitionTable, _matrix_params(14, False), 1),
@@ -601,56 +578,97 @@ class TestRowReader:
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([PartitionTable, BoundedPartitionTable]), SHAPES,
-           st.sampled_from([0, 0, 0, -1, 1]), st.integers(0, 30),
-           st.integers(0, 12))
-    @example(PartitionTable, TableParams(12, 8, 4), 0, 30, 12)  # k >= n
+           st.data())
     def test_any_read_matches_the_reference(self, read_matrix, cls, params,
-                                            layer_gap, max_sum, kmax):
-        """Shapes and reads the harvest never makes: a read past the
-        stored block, of another layer or of degrees k >= n returns or
-        raises as the cell-by-cell read does.  Where a read of another
-        layer also leaves the block, either fault may be named first:
-        the gather goes column by column, the reference row by row."""
-        table, n = cls.build(params), params.target_parts + 1 + layer_gap
+                                            data):
+        """Shapes and reads the harvest never makes, inside the reader's
+        contract: layer n - 1, kmax < n, and every sum the table covers,
+        all sums where the rows bound (kmax - 1)(n - 1) fits the table.
+        The read returns, or raises on the bounded table's unsaturated
+        slack, as the cell-by-cell read does."""
+        table, n = cls.build(params), params.target_parts + 1
+        kmax = data.draw(st.integers(0, min(n - 1, params.max_part + 1)))
+        every_sum = (kmax - 1) * (n - 1) <= params.max_sum
+        max_sum = data.draw(
+            st.integers(0, 40 if every_sum else params.max_sum + n))
+        assert graphical_params(n, max_sum, kmax).max_sum <= params.max_sum
 
         def outcome(read):
             try:
                 return read(n, max_sum, kmax)
-            except (ValueError, LayerNotResidentError) as exc:
+            except ValueError as exc:
                 return type(exc)
 
-        got = outcome(table.g_prime_rows)
-        want = outcome(lambda *args: read_matrix(table, *args))
-        assert got == want or (
-            layer_gap and isinstance(got, type) and isinstance(want, type))
+        assert outcome(table.g_prime_rows) == outcome(
+            lambda *args: read_matrix(table, *args))
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_the_sized_table_matches_the_reference(self, read_matrix, n):
+        """The table graphical_params sizes for a read serves all of it:
+        both heights of n's matrix, and count_dd's bounded read."""
+        reads = [(PartitionTable, *_extent(n, full)) for full in (True, False)]
+        if n >= 4:
+            reads.append((BoundedPartitionTable, 2 * n - 3, n - 3))
+        for cls, top, kmax in reads:
+            table = cls.build(graphical_params(n, top, kmax))
+            assert table.g_prime_rows(n, top, kmax) == read_matrix(
+                table, n, top, kmax
+            ), (cls, top, kmax)
 
     @pytest.mark.parametrize("n", range(4, 21))
     def test_bounded_dd_table_matches_the_reference(self, read_matrix, n):
-        # count_dd's table and read.
-        table = BoundedPartitionTable.build(TableParams(n - 4, n - 4, n - 1))
+        # count_dd's table and read; dd's table is (n - 4, n - 4, n - 1).
+        params = graphical_params(n, 2 * n - 3, n - 3)
+        assert params == TableParams(n - 4, n - 4, n - 1)
+        table = BoundedPartitionTable.build(params)
         assert table.g_prime_rows(n, 2 * n - 3, n - 3) == read_matrix(
             table, n, 2 * n - 3, n - 3
         )
 
-    @pytest.mark.parametrize("cls, params, n, top, kmax, error", [
+    @pytest.mark.parametrize("cls, n, top, kmax, shape, error", [
+        # One row smaller, at both heights and on dd's bounded table.
+        (PartitionTable, 10, 90, 9, {"max_sum": -1}, ValueError),
+        (PartitionTable, 10, 45, 8, {"max_sum": -1}, ValueError),
+        (BoundedPartitionTable, 12, 21, 9, {"max_sum": -1}, ValueError),
+        # One part smaller.
+        (PartitionTable, 10, 90, 9, {"max_part": -1}, ValueError),
+        (BoundedPartitionTable, 12, 21, 9, {"max_part": -1}, ValueError),
         # Another layer than n - 1.
-        (PartitionTable, _matrix_params(10, True), 9, 72, 8,
+        (PartitionTable, 10, 90, 9, {"target_parts": -1},
          LayerNotResidentError),
-        (PartitionTable, _matrix_params(10, True), 11, 110, 10,
+        (PartitionTable, 10, 90, 9, {"target_parts": 1},
          LayerNotResidentError),
-        # Sums, then degrees, past a half-height table's stored block.
-        (PartitionTable, _matrix_params(10, False), 10, 90, 8, ValueError),
-        (PartitionTable, _matrix_params(10, False), 10, 44, 9, ValueError),
-        # Unsaturated slack on the bounded table's surface.
-        (BoundedPartitionTable, TableParams(30, 5, 8), 9, 30, 4, ValueError),
+        # Degrees k >= n, from a table sized for them and a smaller one.
+        (PartitionTable, 10, 90, 10, {}, ValueError),
+        (PartitionTable, 5, 30, 12, TableParams(12, 8, 4), ValueError),
     ])
-    def test_raises_as_the_reference(self, read_matrix, cls, params, n, top,
-                                     kmax, error):
-        table = cls.build(params)
+    def test_reads_outside_the_contract_raise_before_any_read(
+            self, monkeypatch, cls, n, top, kmax, shape, error):
+        """``shape`` is the table, or steps from the one graphical_params
+        sizes for the read."""
+        if isinstance(shape, dict):
+            sized = graphical_params(n, top, kmax)
+            shape = replace(sized, **{
+                name: getattr(sized, name) + step
+                for name, step in shape.items()})
+        table = cls.build(shape)
+        reads = []
+        monkeypatch.setattr(cls, "_column",
+                            lambda *args: reads.append(args))
+        monkeypatch.setattr(PartitionTable, "g_prime",
+                            lambda *args: reads.append(args))
         with pytest.raises(error):
             table.g_prime_rows(n, top, kmax)
-        with pytest.raises(error):
-            read_matrix(table, n, top, kmax)
+        assert reads == []
+
+    def test_unsaturated_bounded_read_raises_as_the_reference(
+            self, read_matrix):
+        # n = 9 to sum 30 reads slacks below the sum, off the surface.
+        table = BoundedPartitionTable.build(TableParams(30, 5, 8))
+        with pytest.raises(ValueError, match="saturated surface"):
+            table.g_prime_rows(9, 30, 4)
+        with pytest.raises(ValueError, match="saturated surface"):
+            read_matrix(table, 9, 30, 4)
 
 
 # Prints the peak resident growth of one bounded build of dd(n), n from
