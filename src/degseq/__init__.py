@@ -38,13 +38,25 @@ from .errors import (
     MissingPriorError,
     OracleCapError,
 )
-from .oracle import (
-    DEFAULT_ORACLE_CAP,
-    CountReport,
-    is_graphical_eg,
-    oracle_counts,
-)
 from .partition_table import DEFAULT_MEMORY_CAP, memory_budget
+
+# The brute-force oracle loads on first use of one of its names, so that
+# commands and callers that never verify do not import it (PEP 562).
+_ORACLE_NAMES = frozenset(
+    ("DEFAULT_ORACLE_CAP", "CountReport", "is_graphical_eg", "oracle_counts")
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _ORACLE_NAMES)
 
 __version__ = "0.1.0"
 

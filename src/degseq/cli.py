@@ -61,7 +61,6 @@ from .degree_counts import (
     write_series_file,
 )
 from .errors import MemoryBudgetError, OracleCapError
-from .oracle import DEFAULT_ORACLE_CAP, oracle_counts
 from .partition_table import memory_budget
 
 EXIT_OK = 0
@@ -239,10 +238,13 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_n > args.oracle_cap:
+    # Only verify runs the oracle, so only verify imports it.
+    from .oracle import DEFAULT_ORACLE_CAP, oracle_counts
+
+    cap = DEFAULT_ORACLE_CAP if args.oracle_cap is None else args.oracle_cap
+    if args.max_n > cap:
         raise OracleCapError(
-            f"verify reaches n={args.max_n} but the oracle cap is "
-            f"{args.oracle_cap}"
+            f"verify reaches n={args.max_n} but the oracle cap is {cap}"
         )
     if args.max_n < 2:
         raise _UsageError("verify needs --max-n >= 2")
@@ -253,7 +255,7 @@ def _cmd_verify(args) -> int:
     series = _series(None, args.max_n)
     mismatches = {}
     for n in range(2, args.max_n + 1):
-        rep = oracle_counts(n, cap=args.oracle_cap)
+        rep = oracle_counts(n, cap=cap)
         for name, (field, lo, compute) in routes.items():
             if n < lo:
                 continue
@@ -328,10 +330,9 @@ def _build_parser() -> _Parser:
     p_verify.add_argument(
         "--oracle-cap",
         type=int,
-        default=DEFAULT_ORACLE_CAP,
         metavar="N",
-        help=f"largest n the oracle may enumerate "
-        f"(default {DEFAULT_ORACLE_CAP})",
+        help="largest n the oracle may enumerate "
+        "(default: degseq.DEFAULT_ORACLE_CAP)",
     )
 
     p_profile = add_command(

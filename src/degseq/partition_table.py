@@ -22,14 +22,21 @@ min(L, N).  Layer l is filled from layer l - 1 by
         slack argument goes negative, with the slack clamped at the new sum.
 
 Two table flavours hold one layer each and answer through the same
-clamp chain; they differ only in how they fill it and read stored cells:
+clamp chain; they differ only in how they fill it and read stored cells.
+Both store, in slice k (part bound k), the rows N = 0..R_k with
+R_k = max(0, min(M - k, k*L)), M = max_sum and L = target_parts: rows
+N > k*L hold no partition, and M bounds the row plus the slice, N + k,
+of every stored cell, so a table sized by graphical_params stores no
+row its reads do not reach.  That region is closed under the fill, as
+no input of cell (N, k) has a larger N + k: the running difference
+reads row N of slice k - 1, the D term row N - k - l + 1 of slice
+k - 1, and the box identity row N - l of slice k - 1.
 
   * :class:`PartitionTable` stores the full (N, k, s) grid in
     fixed-width residues: one uint64 array per part bound k, of shape
-    (planes, min(N_max, k*L) + 1, min(S_k, N_max) + 1) with
-    S_k = (k+1)^2 // 4.  Rows N > k*L hold no partition and are not
-    stored; in layer l < L the rows above k*l stay zero.  Columns stop
-    at S_k, past which a cell is constant in s (the prefix-slack deficit
+    (planes, R_k + 1, min(S_k, M) + 1) with S_k = (k+1)^2 // 4; in
+    layer l < L the rows above k*l stay zero.  Columns stop at S_k,
+    past which a cell is constant in s (the prefix-slack deficit
     of a partition with parts <= k never exceeds j*(k+1-j)), so a read
     takes column min(s, S_k).  Columns s > N need no special case: every
     partition of N passes the test for s >= N, so the recurrence fills
@@ -46,13 +53,13 @@ clamp chain; they differ only in how they fill it and read stored cells:
     module alone knows that layout: a fill's visitor and every reader
     get a table.
   * :class:`BoundedPartitionTable` stores only the s-saturated surface
-    s >= N, one array over N per k, which is all the disconnected-count
-    path ever reads.  Every partition passes the test there, so a cell
-    is p(N; k, l), the partitions of N into at most l parts each at most
-    k.  A layer is filled over the last in place by the box identity
-    p(N; k, l) = p(N; k, l-1) + p(N-l; k-1, l) (a partition with exactly
-    l parts loses 1 from each): one shifted add per slice, and a fill
-    cubic in the vertex count.
+    s >= N, one array over rows 0..R_k per k, which is all the
+    disconnected-count path ever reads.  Every partition passes the test
+    there, so a cell is p(N; k, l), the partitions of N into at most l
+    parts each at most k.  A layer is filled over the last in place by
+    the box identity p(N; k, l) = p(N; k, l-1) + p(N-l; k-1, l) (a
+    partition with exactly l parts loses 1 from each): one shifted add
+    per slice, and a fill cubic in the vertex count.
 
 In both flavours every stored cell holds the value the clamp chain
 gives its own coordinates: in layer L, row N of slice k read at slack s
@@ -140,7 +147,8 @@ class TableParams:
     """Dimensions of a partition table.
 
     Attributes:
-        max_sum: largest partition sum N stored.
+        max_sum: largest row plus slice, N + k, stored: slice k holds
+            the sums N <= max_sum - k (and N <= k * target_parts).
         max_part: largest part bound k stored.
         target_parts: the l value the final fill layer represents.
     """
@@ -161,37 +169,44 @@ def _planes(params: TableParams) -> int:
     return 1 if bits <= 64 else -(-bits // 61)
 
 
+def _slice_rows(params: TableParams, k: int) -> int:
+    """The last row slice k stores: sums up to k * target_parts, the
+    largest with a partition, and up to max_sum - k (module docstring)."""
+    return max(0, min(params.max_sum - k, k * params.target_parts))
+
+
 def _slice_shape(params: TableParams, k: int) -> tuple:
-    """Rows and columns slice k stores: sums up to k * target_parts, the
-    largest with a partition, and slacks up to (k+1)^2 // 4, past which
-    a cell is saturated in s; neither above max_sum."""
-    M = params.max_sum
-    return (min(M, k * params.target_parts) + 1,
-            min((k + 1) * (k + 1) // 4, M) + 1)
+    """Rows and columns slice k stores: rows 0.._slice_rows, and slacks
+    up to (k+1)^2 // 4, past which a cell is saturated in s, but not
+    above max_sum."""
+    return (_slice_rows(params, k) + 1,
+            min((k + 1) * (k + 1) // 4, params.max_sum) + 1)
 
 
 def graphical_params(n: int, top: int, kmax: int) -> TableParams:
     """The table g_prime_rows(n, top, kmax) reads from.
 
     g_prime(N, k, n) reads row N - k - n + 1 of slice k - 1 in layer
-    n - 1.  Over the even N <= top and k = 1..kmax that row is at most
-    top - top % 2 - n, and rows above (k - 1)(n - 1) hold no partition,
-    so they are read as 0 without being stored.
+    n - 1, a cell of row + slice N - n.  Over the even N <= top that is
+    at most top - top % 2 - n, the table's max_sum; slice k - 1 then
+    stores the rows up to that bound less k - 1, and up to
+    (k - 1)(n - 1), above which rows hold no partition and are read as
+    0 without being stored.
     """
-    rows = min(top - top % 2 - n, (kmax - 1) * (n - 1))
-    return TableParams(max(0, rows), max(0, kmax - 1), n - 1)
+    return TableParams(max(0, top - top % 2 - n), max(0, kmax - 1), n - 1)
 
 
 def _array_bytes(params: TableParams) -> Iterator[int]:
     """The bytes of each array a full build allocates: slices
     k = 0..max_part (_slice_shape), then the fill's save and difference
-    arrays, each the size of slice max_part, the largest, then on prime
-    planes one scratch array of that size."""
-    planes = _planes(params)
+    arrays, each spanning the most rows and the most columns of any
+    slice, then on prime planes one scratch array of that size."""
+    planes, rows, cols = _planes(params), 0, 0
     for k in range(params.max_part + 1):
-        yield 8 * planes * math.prod(_slice_shape(params, k))
-    largest = 8 * planes * math.prod(_slice_shape(params, params.max_part))
-    yield from [largest] * (2 + (planes > 1))
+        r, c = _slice_shape(params, k)
+        rows, cols = max(rows, r), max(cols, c)
+        yield 8 * planes * r * c
+    yield from [8 * planes * rows * cols] * (2 + (planes > 1))
 
 
 def estimate_table_bytes(params: TableParams) -> int:
@@ -200,15 +215,21 @@ def estimate_table_bytes(params: TableParams) -> int:
 
 
 def estimate_bounded_bytes(params: TableParams) -> int:
-    """Estimated peak bytes of a bounded table build: one layer of
-    (K + 1)(M + 1) slots, the fill's only storage, each a pointer and a
-    CPython int (24 bytes and 4 per 30-bit digit, in 16-byte blocks) of
-    at most p(M) < e^(pi sqrt(2M/3)), K = max_part and M = max_sum, plus
-    8 bytes a slot for the allocator."""
-    M = params.max_sum
+    """Estimated peak bytes of a bounded table build: one layer of slots,
+    the fill's only storage, each a pointer and a CPython int (24 bytes
+    and 4 per 30-bit digit, in 16-byte blocks) of at most
+    p(M) < e^(pi sqrt(2M/3)), M = max_sum, plus 8 bytes a slot for the
+    allocator.  The slots are summed in closed form over the slices,
+    K = max_part and L = target_parts: slice k holds 1 + k * L for
+    k <= a = min(K, M // (L + 1)), 1 + M - k for a < k <= min(K, M) and
+    1 above (_slice_rows)."""
+    M, K, L = params.max_sum, params.max_part, params.target_parts
+    a, b = min(K, M // (L + 1)), min(K, M)
+    slots = (K + 1 + L * a * (a + 1) // 2 + (b - a) * M
+             - (b * (b + 1) - a * (a + 1)) // 2)
     digits = int(math.pi * math.sqrt(2 * M / 3) / math.log(2)) // 30 + 1
     slot = 16 + 16 * -(-(24 + 4 * digits) // 16)
-    return (params.max_part + 1) * (M + 1) * slot
+    return slots * slot
 
 
 def _update(dst, src, mod):
@@ -230,31 +251,35 @@ def _update(dst, src, mod):
             np.minimum(d, np.subtract(d, q, out=t), out=d)
 
 
-def _fill_layer(slices, save, diff, l, max_sum, mod):
+def _fill_layer(slices, save, diff, l, mod):
     """Fill layer ``l`` into ``slices``, which hold layer ``l - 1``.
 
     The recurrence telescopes in k: new slice k minus old slice k is
     Delta_k = Delta_{k-1} + D, the D term read from the old slice k-1.
     Slices k = 1..max_part are updated in place in order, each by
     ``slice += Delta_k``, with Delta_k carried in ``diff``, an array
-    shaped like the largest slice and read through slice k's shape.
-    Delta_0 is zero: slice 0 (1 at N = 0) is the same in every layer
-    and never written.  Widening Delta_{k-1} to slice k clears its rows
-    (k-1)*l+1 .. k*l, zero in both layers but still holding the last
-    layer's differences, and copies its last column, past which both
-    slices k-1 are saturated in s, into the further columns.  Once the D
-    term has read the old slice k-1 from ``save``, slice k's old live
-    rows 0..min(max_sum, k*(l - 1)) are copied there, and only then is
-    slice k written, on rows 0..min(max_sum, k*l); the rows above stay
-    zero without being cleared, because layer l - 1 wrote none of them.
+    spanning the most rows and the most columns of any slice and read
+    through slice k's shape; R_k is slice k's last stored row.  Delta_0
+    is zero: slice 0 (1 at N = 0) is the same in every layer and never
+    written.  Widening Delta_{k-1} to slice k clears its rows above
+    min(R_{k-1}, (k-1)*l), the last it was computed on, which may still
+    hold earlier differences.  Delta_{k-1} is zero there, as every such
+    row lies above (k-1)*l: where R_{k-1} binds instead, R_k <= R_{k-1}
+    leaves none to clear.  Widening also copies Delta's last column,
+    past which both slices k-1 are saturated in s, into the further
+    columns.  Once the D term has read the old slice k-1
+    from ``save``, slice k's old live rows 0..min(R_k, k*(l - 1)) are
+    copied there, and only then is slice k written, on rows
+    0..min(R_k, k*l); the rows above stay zero without being cleared,
+    because layer l - 1 wrote none of them.
     """
-    M, old_km1 = max_sum, slices[0]
+    old_km1, top = slices[0], 1
     diff[:, 0, 0] = 0
     for k in range(1, len(slices)):
         out = slices[k]
-        planes, _, cols = out.shape
-        width, live = old_km1.shape[2], min(M, k * l)
-        d, top = diff[:, : live + 1, :cols], min(M, (k - 1) * l) + 1
+        planes, stored, cols = out.shape
+        width, live = old_km1.shape[2], min(stored - 1, k * l)
+        d = diff[:, : live + 1, :cols]
         d[:, top:] = 0
         # A copy first: numpy would buffer the overlapping broadcast whole.
         d[:, :top, width:] = d[:, :top, width - 1 : width].copy()
@@ -265,7 +290,7 @@ def _fill_layer(slices, save, diff, l, max_sum, mod):
             first = min(lo + delta, width - 1)
             src = old_km1[:, : live - shift + 1, first:]
             _update(d[:, shift:, lo:], src, mod)
-        rows = min(M, k * (l - 1)) + 1
+        rows, top = min(stored - 1, k * (l - 1)) + 1, live + 1
         old_km1 = save[: planes * rows * cols].reshape(planes, rows, cols)
         np.copyto(old_km1, out[:, :rows])
         _update(out[:, : live + 1], d, mod)
@@ -314,19 +339,19 @@ class PartitionTable:
         planes = _planes(params)
         if planes > len(_PRIMES):
             raise ValueError(f"{planes} residue planes exceed the moduli")
-        top = (planes, *_slice_shape(params, params.max_part))
+        shapes = [_slice_shape(params, k) for k in range(params.max_part + 1)]
+        top = (planes, *map(max, zip(*shapes)))
         mod = None
         if planes > 1:
             q = np.array(_PRIMES[:planes], np.uint64).reshape(planes, 1, 1)
             mod = q, np.empty(math.prod(top), np.uint64)
         save = np.empty(math.prod(top), np.uint64)
         diff = np.empty(top, np.uint64)
-        slices = [np.zeros((planes, *_slice_shape(params, k)), np.uint64)
-                  for k in range(params.max_part + 1)]
+        slices = [np.zeros((planes, *shape), np.uint64) for shape in shapes]
         for cells in slices:
             cells[:, 0] = 1  # layer 0: the empty partition of N = 0
         for l in range(1, params.target_parts + 1):
-            _fill_layer(slices, save, diff, l, params.max_sum, mod)
+            _fill_layer(slices, save, diff, l, mod)
             if layer_visitor is not None:
                 layer_visitor(l, cls(replace(params, target_parts=l), slices))
         return cls(params, slices)
@@ -337,7 +362,8 @@ class PartitionTable:
         A clamped cell with N > k*l is 0 even outside the stored block.
 
         Raises:
-            ValueError: the clamped (N, k) lies outside the stored block.
+            ValueError: the clamped (N, k) lies outside the stored block,
+                N + k > max_sum or k > max_part.
             LayerNotResidentError: the clamped l is not the held layer's.
         """
         if N < 0 or k < 0 or l < 0 or s < 0:
@@ -355,7 +381,7 @@ class PartitionTable:
         if N > k * l:
             return 0
         p = self.params
-        if N > p.max_sum or k > p.max_part:
+        if N + k > p.max_sum or k > p.max_part:
             raise ValueError(
                 f"cell (N={N}, k={k}) is outside the stored block "
                 f"(max_sum={p.max_sum}, max_part={p.max_part})"
@@ -433,26 +459,30 @@ class BoundedPartitionTable(PartitionTable):
     """The s-saturated surface of the partition counts, s >= N everywhere.
 
     There every partition passes the prefix test, so the table holds
-    one layer of box counts p(N; k, l), (max_part + 1) x (max_sum + 1)
-    Python ints, filled by the box identity (module docstring).  Queries
-    pass through the same clamp chain and residency rule as the full
-    table; a clamped slack below the sum is refused, so g_prime(N, k, l)
-    is answered for N <= 2(l - 1), where its read lands on the surface,
-    and above only where it clamps to 0.
+    one layer of box counts p(N; k, l), Python ints on the rows of each
+    slice that _slice_rows gives, filled by the box identity (module
+    docstring).  Queries pass through the same clamp chain and residency
+    rule as the full table; a clamped slack below the sum is refused, so
+    g_prime(N, k, l) is answered for N <= 2(l - 1), where its read lands
+    on the surface, and above only where it clamps to 0.
     """
 
     @classmethod
     def build(cls, params: TableParams) -> "BoundedPartitionTable":
         _check_budget([estimate_bounded_bytes(params)])
-        M = params.max_sum
-        slices = [np.zeros(M + 1, dtype=object)
-                  for _ in range(params.max_part + 1)]
+        slices = [np.zeros(_slice_rows(params, k) + 1, dtype=object)
+                  for k in range(params.max_part + 1)]
         for cells in slices:
             cells[0] = 1  # layer 0: the empty partition of N = 0
+        M = params.max_sum
         for l in range(1, params.target_parts + 1):
-            for k in range(1, len(slices)):
-                # Slice k - 1 already holds layer l, slice k layer l - 1.
-                slices[k][l:] += slices[k - 1][: max(0, M + 1 - l)]
+            # Slice k stores rows from l up only while k <= M - l, as
+            # k * L >= l.
+            for k in range(1, min(len(slices), M - l + 1)):
+                # Slice k - 1 already holds layer l, slice k layer l - 1;
+                # the rows slice k - 1 lacks hold no partition.
+                src = slices[k - 1][: len(slices[k]) - l]
+                slices[k][l : l + len(src)] += src
         return cls(params, slices)
 
     def _column(self, k: int, rows: range, s: int) -> list:

@@ -263,6 +263,25 @@ class TestVerify:
         assert "cap" in err
 
 
+    def test_building_the_parser_leaves_the_oracle_unloaded(self):
+        """Only verify runs the oracle: importing the package and the
+        command line, in a fresh interpreter, does not import it, and
+        the package still exports its names."""
+        src = os.path.dirname(os.path.dirname(degseq.__file__))
+        script = (
+            "import sys, degseq, degseq.cli\n"
+            "degseq.cli._build_parser()\n"
+            "assert 'degseq.oracle' not in sys.modules\n"
+            "assert degseq.oracle_counts is sys.modules['degseq.oracle']"
+            ".oracle_counts\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestExitCodes:
     def test_descending_range(self, capsys):
         code, _, err = run(
@@ -320,8 +339,9 @@ class TestExitCodes:
         )
 
     def test_huge_dd_is_refused_within_two_seconds(self):
-        # The bounded dd table: one layer of (10^7 - 3)^2 slots of 1,616
-        # bytes, about 1.6e17 bytes, above any machine's memory.
+        # The bounded dd table: one layer of about (10^7)^2 / 2 slots
+        # (slice k stores 10^7 - 3 - k of them) of 1,616 bytes, about
+        # 8.1e16 bytes, above any machine's memory.
         assert_refused_within_two_seconds(
             "--quantity", "dd", "--n", "10000000"
         )

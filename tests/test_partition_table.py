@@ -131,9 +131,16 @@ def reference_layers(params):
         yield l, prev, off
 
 
+def raised(params):
+    """params with max_sum raised by max_part: its table stores every
+    cell (N, k) with N <= params.max_sum and k <= params.max_part."""
+    return replace(params, max_sum=params.max_sum + params.max_part)
+
+
 def assert_fill_matches_reference(params):
-    """Every stored cell of the held layer equals the reference."""
-    table = PartitionTable.build(params)
+    """Every cell of the held layer with N <= max_sum equals the
+    reference."""
+    table = PartitionTable.build(raised(params))
     *_, (_, ref, off) = reference_layers(params)
     l = params.target_parts
     for N in range(params.max_sum + 1):
@@ -165,13 +172,13 @@ def brute_exact(N, k, l, s):
 
 @pytest.fixture(scope="module")
 def table_6():
-    return PartitionTable.build(TableParams(12, 6, 6))
+    return PartitionTable.build(TableParams(18, 6, 6))
 
 
 @pytest.fixture(scope="module")
 def tables_all_targets():
     return {
-        l: PartitionTable.build(TableParams(12, 6, l)) for l in range(7)
+        l: PartitionTable.build(TableParams(18, 6, l)) for l in range(7)
     }
 
 
@@ -218,9 +225,10 @@ class TestStoredCellsAgainstBruteForce:
                 assert above.ndim == 3 and not above.any(), (params, l, k)
                 checked.append(above.size)
 
-        PartitionTable.build(params, layer_visitor=visit)
-        # Slice 1 stores rows up to min(max_sum, target_parts), so
-        # layer 1 leaves rows above 1 to check when that reaches 2.
+        PartitionTable.build(raised(params), layer_visitor=visit)
+        # Slice 1 stores rows up to min(max_sum + max_part - 1,
+        # target_parts), so layer 1 leaves rows above 1 to check when
+        # that reaches 2.
         if params.max_part and min(params.max_sum, params.target_parts) > 1:
             assert any(checked), params
 
@@ -272,7 +280,7 @@ class TestClampChain:
     def test_oversized_l_serves_from_small_n_rows(self):
         # l = 20 clamps to l = N for every stored row, so a layer built
         # for a large target still answers.
-        table = PartitionTable.build(TableParams(8, 6, 20))
+        table = PartitionTable.build(TableParams(14, 6, 20))
         for N in range(7):
             for k in range(min(N, 6) + 1):
                 for s in range(N + 1):
@@ -308,7 +316,7 @@ class TestClampChain:
 
     def test_capacity_exceeded_raises(self, table_6):
         with pytest.raises(ValueError):
-            table_6.query_raw(13, 3, 6, 0)
+            table_6.query_raw(19, 4, 6, 0)
 
     def test_overfull_cell_outside_block_is_zero(self, table_6):
         # 20 > 3 * 6: no partition fits, so no stored row is needed.
@@ -322,11 +330,11 @@ class TestBuildExamples:
         assert table.query_raw(0, 3, 3, 0) == 1
 
     def test_full_slack_cell(self):
-        table = PartitionTable.build(TableParams(5, 2, 3))
+        table = PartitionTable.build(TableParams(7, 2, 3))
         assert table.query_raw(5, 2, 3, 5) == 1
 
     def test_failing_square_partition(self):
-        table = PartitionTable.build(TableParams(4, 2, 2))
+        table = PartitionTable.build(TableParams(6, 2, 2))
         assert table.query_raw(4, 2, 2, 0) == 0
 
 
@@ -497,7 +505,7 @@ class TestLayerView:
         def visit(l, view):
             ref_l, ref, off = next(reference)
             assert l == ref_l
-            assert view.params == replace(params, target_parts=l)
+            assert view.params == replace(raised(params), target_parts=l)
             for N in range(params.max_sum + 1):
                 for k in range(params.max_part + 1):
                     for s in range(N + 1):
@@ -506,7 +514,7 @@ class TestLayerView:
                         ), (params, l, N, k, s)
             checked.append(l)
 
-        PartitionTable.build(params, layer_visitor=visit)
+        PartitionTable.build(raised(params), layer_visitor=visit)
         assert checked == list(range(1, params.target_parts + 1))
 
 
@@ -522,8 +530,9 @@ class TestRowReader:
         # Two prime planes: the last layer.
         (PartitionTable, TableParams(12, 40, 30), 30),
         # The bounded table's one layer, where l binds rows N > 5k.
-        (BoundedPartitionTable, TableParams(30, 8, 5), 5),
-        (BoundedPartitionTable, TableParams(24, 24, 27), 27),  # dd(28)
+        (BoundedPartitionTable, TableParams(38, 8, 5), 5),
+        # dd(28)'s table, max_sum raised by its max_part.
+        (BoundedPartitionTable, TableParams(48, 24, 27), 27),
     ], ids=["half", "full", "primes", "bounded", "bounded-dd"])
     def test_every_stored_cell_holds_its_clamped_value(self, cls, params,
                                                        first):
@@ -538,10 +547,10 @@ class TestRowReader:
             if l < first:
                 return
             for k in range(params.max_part + 1):
+                rows, cols = _slice_shape(params, k)
                 if cls is BoundedPartitionTable:
-                    cells = [(N, N) for N in range(params.max_sum + 1)]
+                    cells = [(N, N) for N in range(rows)]
                 else:
-                    rows, cols = _slice_shape(params, k)
                     cells = [(N, s) for s in range(cols + 1)
                              for N in range(rows)]
                 got = [layer._column(k, range(N, N + 1), s)
@@ -582,15 +591,13 @@ class TestRowReader:
     def test_any_read_matches_the_reference(self, read_matrix, cls, params,
                                             data):
         """Shapes and reads the harvest never makes, inside the reader's
-        contract: layer n - 1, kmax < n, and every sum the table covers,
-        all sums where the rows bound (kmax - 1)(n - 1) fits the table.
+        contract: layer n - 1, kmax < n, and every sum the table covers.
         The read returns, or raises on the bounded table's unsaturated
         slack, as the cell-by-cell read does."""
+        params = raised(params)
         table, n = cls.build(params), params.target_parts + 1
         kmax = data.draw(st.integers(0, min(n - 1, params.max_part + 1)))
-        every_sum = (kmax - 1) * (n - 1) <= params.max_sum
-        max_sum = data.draw(
-            st.integers(0, 40 if every_sum else params.max_sum + n))
+        max_sum = data.draw(st.integers(0, params.max_sum + n))
         assert graphical_params(n, max_sum, kmax).max_sum <= params.max_sum
 
         def outcome(read):
@@ -671,6 +678,71 @@ class TestRowReader:
             read_matrix(table, 9, 30, 4)
 
 
+class TestStoredRegion:
+    """Slice k stores rows N <= min(max_sum - k, k * target_parts): every
+    cell a graphical read of the table reaches, and no other."""
+
+    @pytest.mark.parametrize("cls", [PartitionTable, BoundedPartitionTable],
+                             ids=["full", "bounded"])
+    def test_read_past_max_sum_raises(self, cls):
+        table = cls.build(TableParams(12, 12, 6))
+        want = brute_count(6, 6, 6, 6)
+        assert table.query_raw(6, 6, 6, 6) == want  # N + k = max_sum
+        assert table.query_raw(6, 9, 6, 6) == want  # k clamps to 6
+        for N, k in [(7, 6), (8, 5), (7, 9)]:  # (7, 9): k clamps to 7
+            with pytest.raises(ValueError, match="outside the stored block"):
+                table.query_raw(N, k, 6, N)
+
+    @pytest.mark.parametrize("n", range(20, 41))
+    def test_full_height_slices_keep_their_shape(self, n):
+        """At full height slice k stores what it stored when max_sum
+        bounded the row alone, at (n - 1)(n - 2), the largest sum with a
+        partition: rows up to k(n - 1) and slacks up to (k+1)^2 // 4.
+        quantities_n28's table is one of these."""
+        params = _matrix_params(n, True)
+        assert params == TableParams(n * (n - 2), n - 2, n - 1)
+        M = (n - 1) * (n - 2)
+        for k in range(params.max_part + 1):
+            assert _slice_shape(params, k) == (
+                min(M, k * (n - 1)) + 1, min((k + 1) ** 2 // 4, M) + 1
+            ), (n, k)
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_half_height_slices_stop_at_max_sum_less_k(self, n):
+        params = _matrix_params(n, False)
+        M, K, L = params.max_sum, params.max_part, params.target_parts
+        table = PartitionTable.build(params)
+        rows = [cells.shape[1] for cells in table._slices]
+        assert rows == [min(M - k, k * L) + 1 for k in range(K + 1)]
+        assert M - K < K * L  # the new bound binds on the last slices
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([PartitionTable, BoundedPartitionTable]), SHAPES)
+    @example(PartitionTable, TableParams(12, 40, 30))  # two prime planes
+    @example(PartitionTable, TableParams(40, 36, 30))
+    @example(BoundedPartitionTable, TableParams(30, 8, 5))
+    @example(BoundedPartitionTable, TableParams(2, 6, 1))  # k > max_sum
+    def test_every_stored_cell_matches_the_untrimmed_reference(self, cls,
+                                                               params):
+        """The reference fills every row 0..max_sum of every slice; the
+        table stores rows 0..max(0, min(max_sum - k, k * target_parts))
+        of slice k, each as the reference holds it (the bounded table at
+        s = N)."""
+        table = cls.build(params)
+        *_, (_, ref, off) = reference_layers(params)
+        M, L = params.max_sum, params.target_parts
+        for k, cells in enumerate(table._slices):
+            rows = range(max(0, min(M - k, k * L)) + 1)
+            if cls is BoundedPartitionTable:
+                assert table._column(k, rows, rows[-1]) == [
+                    ref[k][off[N] + N] for N in rows], (params, k)
+                continue
+            assert cells.shape[1] == len(rows), (params, k)
+            for s in range(cells.shape[2]):
+                assert table._column(k, rows, s) == [
+                    ref[k][off[N] + min(s, N)] for N in rows], (params, k, s)
+
+
 # Prints the peak resident growth of one bounded build of dd(n), n from
 # argv, and its estimate, in bytes.
 BOUNDED_PEAK = """
@@ -698,8 +770,8 @@ class TestBoundedTable:
     @example(TableParams(30, 8, 5))  # l binds rows N > 5k
     @example(TableParams(9, 0, 3))  # slice 0 only
     def test_matches_full_table_at_max_slack(self, params):
-        full = PartitionTable.build(params)
-        bounded = BoundedPartitionTable.build(params)
+        full = PartitionTable.build(raised(params))
+        bounded = BoundedPartitionTable.build(raised(params))
         l = params.target_parts
         for N in range(params.max_sum + 1):
             for k in range(params.max_part + 1):
