@@ -262,7 +262,6 @@ class TestVerify:
         assert code == 1
         assert "cap" in err
 
-
     def test_building_the_parser_leaves_the_oracle_unloaded(self):
         """Only verify runs the oracle: importing the package and the
         command line, in a fresh interpreter, does not import it, and

@@ -824,18 +824,17 @@ class TestBoundedTable:
     def test_estimate_covers_the_peak(self):
         """The peak resident growth of a dd-sized build, n = 28..266, each
         in a fresh process, is at most the estimate plus a fixed margin
-        for the allocator's arenas (the growth runs about 105 KB above
-        the estimate at n = 28); at n = 266 it varies by about 70 KB
-        between runs.  n = 266 is the last n whose ints the estimate
-        sizes at two digits, so its slots are charged least against
-        their real size.  The estimate charges the one layer the fill
-        keeps: a fill holding two layers at once grows 2.8 MB at n = 200,
-        against an estimate of 1.9 MB.
+        for the allocator's arenas (the growth runs about 125 KB above
+        the estimate at n = 28).  n = 266 is the last n whose ints the
+        estimate sizes at two digits, so its slots are charged least
+        against their real size.  The estimate charges the one layer the
+        fill keeps: a fill holding two layers at once grows 1.7 MB at
+        n = 200, against an estimate of 0.93 MB.
 
-        tracemalloc sees 22.9, 31.2, 34.8 and 38.9 bytes per slot at
-        n = 28..200, but slows the n = 200 fill 40-fold; the resident
-        growth reads 37 to 45 bytes at n = 100..266, against the
-        estimate's 48.  The child reads VmHWM, the peak of its own
+        tracemalloc sees 22.8, 26.0, 31.0 and 35.8 bytes per slot at
+        n = 28, 60, 100 and 200, but slows the n = 200 fill 40-fold; the
+        resident growth reads 44 to 46 bytes at n = 200..266, against
+        the estimate's 48.  The child reads VmHWM, the peak of its own
         address space; ru_maxrss would carry over the peak of the
         process that started it, this test run's.
         """
