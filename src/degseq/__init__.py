@@ -21,10 +21,8 @@ from .connectivity_counts import (
 from .degree_counts import (
     DnSeries,
     SumProfile,
-    count_by_largest,
     count_d0,
     count_d_basic,
-    count_d_improved,
     count_h,
     count_l,
     extend_series,
@@ -32,50 +30,22 @@ from .degree_counts import (
     read_series_file,
     write_series_file,
 )
-from .errors import (
-    DegseqError,
-    MemoryBudgetError,
-    MissingPriorError,
-    OracleCapError,
-)
+from .errors import DegseqError, MemoryBudgetError, MissingPriorError
 from .partition_table import DEFAULT_MEMORY_CAP, memory_budget
-
-# The brute-force oracle loads on first use of one of its names, so that
-# commands and callers that never verify do not import it (PEP 562).
-_ORACLE_NAMES = frozenset(
-    ("DEFAULT_ORACLE_CAP", "CountReport", "is_graphical_eg", "oracle_counts")
-)
-
-
-def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(globals().keys() | _ORACLE_NAMES)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BiconnReport",
-    "CountReport",
     "DEFAULT_MEMORY_CAP",
-    "DEFAULT_ORACLE_CAP",
     "DegseqError",
     "DnSeries",
     "MemoryBudgetError",
     "MissingPriorError",
-    "OracleCapError",
     "SumProfile",
     "count_b",
-    "count_by_largest",
     "count_d0",
     "count_d_basic",
-    "count_d_improved",
     "count_db",
     "count_dc_direct",
     "count_dc_indirect",
@@ -84,9 +54,7 @@ __all__ = [
     "count_l",
     "count_s",
     "extend_series",
-    "is_graphical_eg",
     "memory_budget",
-    "oracle_counts",
     "profile",
     "read_series_file",
     "write_series_file",

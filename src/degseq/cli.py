@@ -49,6 +49,7 @@ from .connectivity_counts import (
     count_s,
 )
 from .degree_counts import (
+    FAMILIES,
     DnSeries,
     count_by_largest,
     count_d0,
@@ -332,14 +333,14 @@ def _build_parser() -> _Parser:
         type=int,
         metavar="N",
         help="largest n the oracle may enumerate "
-        "(default: degseq.DEFAULT_ORACLE_CAP)",
+        "(default: degseq.oracle.DEFAULT_ORACLE_CAP)",
     )
 
     p_profile = add_command(
         "profile", _cmd_profile, "per-degree-sum counts of one family"
     )
     p_profile.add_argument("--n", type=int, required=True)
-    p_profile.add_argument("--family", choices=("G", "L", "H"), required=True)
+    p_profile.add_argument("--family", choices=FAMILIES, required=True)
     add_format(p_profile)
 
     p_ratio = add_command(

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so keep the hierarchy flat
-and the meanings narrow.
+The CLI exits 2 on MemoryBudgetError and 1 on OracleCapError
+(cli._EXIT_CODES); LayerNotResidentError and MissingPriorError are
+caller errors that no command raises.  Keep the hierarchy flat and the
+meanings narrow.
 """
 
 

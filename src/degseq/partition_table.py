@@ -445,7 +445,9 @@ class PartitionTable:
 
     def _column(self, k: int, rows: range, s: int) -> list:
         """The stored values of the held layer at slice k, slack s (at
-        most each row's sum), over ``rows``: one strided numpy read."""
+        most each row's sum), over ``rows``: one strided numpy read.
+        ``rows`` must lie in the slice's stored block, as query_raw and
+        g_prime_rows check: numpy stops at its end, giving a short list."""
         cells = self._slices[k]
         col = cells[:, rows.start : rows.stop : rows.step,
                     min(s, cells.shape[2] - 1)].tolist()
@@ -486,6 +488,7 @@ class BoundedPartitionTable(PartitionTable):
         return cls(params, slices)
 
     def _column(self, k: int, rows: range, s: int) -> list:
+        """As PartitionTable._column, ``rows`` within the stored block."""
         if rows and s < rows[-1]:
             raise ValueError(
                 f"slack {s} is below the sum {rows[-1]}: only the saturated "

@@ -264,15 +264,12 @@ class TestVerify:
 
     def test_building_the_parser_leaves_the_oracle_unloaded(self):
         """Only verify runs the oracle: importing the package and the
-        command line, in a fresh interpreter, does not import it, and
-        the package still exports its names."""
+        command line, in a fresh interpreter, does not import it."""
         src = os.path.dirname(os.path.dirname(degseq.__file__))
         script = (
             "import sys, degseq, degseq.cli\n"
             "degseq.cli._build_parser()\n"
             "assert 'degseq.oracle' not in sys.modules\n"
-            "assert degseq.oracle_counts is sys.modules['degseq.oracle']"
-            ".oracle_counts\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
@@ -281,7 +278,58 @@ class TestVerify:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestExports:
+    def test_package_exports_only_the_counting_api(self):
+        # The oracle, OracleCapError, count_by_largest and
+        # count_d_improved live in their own modules only.
+        assert degseq.__all__ == [
+            "BiconnReport", "DEFAULT_MEMORY_CAP", "DegseqError",
+            "DnSeries", "MemoryBudgetError", "MissingPriorError",
+            "SumProfile", "count_b", "count_d0", "count_d_basic",
+            "count_db", "count_dc_direct", "count_dc_indirect", "count_dd",
+            "count_h", "count_l", "count_s", "extend_series",
+            "memory_budget", "profile", "read_series_file",
+            "write_series_file",
+        ]
+        for name in degseq.__all__:
+            getattr(degseq, name)
+        assert "__getattr__" not in vars(degseq)
+        assert "__dir__" not in vars(degseq)
+        assert not hasattr(degseq, "oracle_counts")
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "sub", [(), ("count",), ("series",), ("verify",), ("profile",),
+                ("ratio",)],
+        ids=lambda sub: " ".join(sub) or "degseq",
+    )
+    def test_help_prints_usage(self, capsys, sub):
+        # argparse formats the help strings only here.
+        with pytest.raises(SystemExit) as exit_:
+            main([*sub, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: {' '.join(('degseq', *sub))} ")
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "request_",
+        [("count", "--quantity", "d", "--range", "2-5"),
+         ("count", "--quantity", "d", "--range", "a..b"),
+         ("ratio", "--range", "2..5"),
+         ("verify", "--max-n", "1")],
+        ids=" ".join,
+    )
+    def test_bad_argument_is_one_error_line(self, capsys, request_):
+        code, out, err = run(capsys, *request_)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines()
+                  if line.startswith("degseq: error:")]
+        assert len(errors) == 1, err
+
     def test_descending_range(self, capsys):
         code, _, err = run(
             capsys, "count", "--quantity", "d", "--range", "9..2",
@@ -345,13 +393,14 @@ class TestExitCodes:
             "--quantity", "dd", "--n", "10000000"
         )
 
-    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("cap", ["0", "-5", "abc"])
     def test_memory_cap_must_be_positive(self, capsys, cap):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "count", "--quantity", "d", "--n", "5",
             "--memory-cap", cap,
         )
         assert code == 1
+        assert out == ""
         assert "--memory-cap" in err
 
 
@@ -482,12 +531,20 @@ class TestCacheFlow:
         assert err == ""
         assert cache.read_text() == "1 0\n5 20\n"
 
-    def test_corrupt_cache_is_reported(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text,reason",
+        [("1 0\n5 20\n", "must cover"),
+         ("1 0\n2 1 7\n", "malformed series line"),
+         ("1 0\n2 1\n2 1\n", "duplicate series entry for n=2")],
+        ids=["gap", "malformed", "duplicate"],
+    )
+    def test_corrupt_cache_is_reported(self, capsys, tmp_path, text, reason):
         cache = tmp_path / "bad.txt"
-        cache.write_text("1 0\n5 20\n")
-        code, _, err = run(
+        cache.write_text(text)
+        code, out, err = run(
             capsys, "count", "--quantity", "d", "--n", "6",
             "--cache", str(cache),
         )
         assert code == 1
-        assert f"series file {cache}: must cover" in err
+        assert out == ""
+        assert f"series file {cache}: {reason}" in err

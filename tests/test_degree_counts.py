@@ -319,6 +319,27 @@ class TestMatrixMemo:
         assert table_builds == [_matrix_params(n, True)]
 
 
+@pytest.mark.parametrize(
+    "counter,args",
+    [pytest.param(counter, args, id=counter.__name__) for counter, args in [
+        (count_dc_direct, (1,)),
+        (count_dd, (1,)),
+        (count_dc_indirect, (1, 0)),
+        (count_b, (2, DnSeries())),
+        (count_d2_minus_b, (1,)),
+        (count_d_improved, (0, DnSeries())),
+        (count_d0, (0, DnSeries())),
+        (count_h, (1, DnSeries())),
+        (count_l, (0,)),
+        (profile, (1, "G")),
+        (count_by_largest, (1,)),
+    ]],
+)
+def test_counter_refuses_n_below_its_minimum(counter, args):
+    with pytest.raises(ValueError, match="need n >= "):
+        counter(*args)
+
+
 class TestDnSeries:
     def test_requires_zero_anchor(self):
         with pytest.raises(ValueError):
@@ -327,6 +348,10 @@ class TestDnSeries:
     def test_requires_d2_of_one(self):
         with pytest.raises(ValueError):
             DnSeries([0, 5])
+
+    def test_requires_a_value(self):
+        with pytest.raises(ValueError, match="d\\(1\\) = 0"):
+            DnSeries([])
 
     def test_missing_value_raises(self):
         with pytest.raises(MissingPriorError):

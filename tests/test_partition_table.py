@@ -337,6 +337,11 @@ class TestBuildExamples:
         table = PartitionTable.build(TableParams(6, 2, 2))
         assert table.query_raw(4, 2, 2, 0) == 0
 
+    @pytest.mark.parametrize("dims", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_negative_dimension_is_refused(self, dims):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TableParams(*dims)
+
 
 class TestMonotonicity:
     def test_nondecreasing_in_s(self, table_6):
@@ -385,6 +390,11 @@ class TestFirstRowColumnBridge:
         table = PartitionTable.build(TableParams(12, 4, 4))
         with pytest.raises(ValueError):
             table.g_prime(7, 3, 4)
+
+    def test_g_prime_rejects_negative_sum(self):
+        table = PartitionTable.build(TableParams(12, 4, 4))
+        with pytest.raises(ValueError, match="N >= 0"):
+            table.g_prime(-2, 1, 3)
 
 
 class TestMemoryBudget:
