@@ -63,11 +63,11 @@ class BiconnReport:
 
 
 def count_dc_direct(n: int) -> int:
-    """dc(n): graphical matrix rows with sums 2(n-1)..n(n-1)."""
+    """dc(n): graphical matrix columns from the sum 2(n-1), their entry
+    n // 2 - 1, up to n(n-1)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = graphical_matrix(n)
-    return sum(sum(row) for N, row in rows.items() if N >= 2 * (n - 1))
+    return sum(sum(col[n // 2 - 1:]) for col in graphical_matrix(n))
 
 
 def count_dd(n: int) -> int:
@@ -85,7 +85,7 @@ def count_dd(n: int) -> int:
         return 0  # no even sum lies in [n, 2n - 3]
     top, kmax = 2 * n - 3, n - 3
     table = BoundedPartitionTable.build(graphical_params(n, top, kmax))
-    return sum(map(sum, table.g_prime_rows(n, top, kmax).values()))
+    return sum(map(sum, table.g_prime_columns(n, top, kmax)))
 
 
 def count_dc_indirect(n: int, d_n: int) -> int:
@@ -105,8 +105,7 @@ def count_s(n: int) -> int:
     """s(n): the graphical matrix column of largest degree n - 2."""
     if n < 3:
         raise ValueError("need n >= 3")
-    rows = graphical_matrix(n)
-    return sum(row[n - 3] for row in rows.values())
+    return sum(graphical_matrix(n)[n - 3])
 
 
 def count_b(n: int, prior: DnSeries) -> int:

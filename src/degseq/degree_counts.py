@@ -19,10 +19,11 @@ every sum, so it is read whole.
 
 Every count comes from one graphical matrix per n (graphical_matrix):
 the number of zero-free graphical sequences with each even sum N and
-each largest degree k.  Quantities are masked sums of it: d is the
-whole matrix, the G profile its row sums, the split by largest degree
-its column sums, and the L and H profiles row sums over the columns
-k <= n - 2 and k = n - 1.  The series d(1), d(2), ... is built with
+each largest degree k, kept as one tuple per k over the sums N: the
+columns a table read gathers.  Quantities are masked sums of them: d
+is every cell, the split by largest degree the column sums, and the G,
+L and H profiles row sums over the columns k <= n - 1, k <= n - 2 and
+k = n - 1.  The series d(1), d(2), ... is built with
 d(n) = l(n) + d0(n-1), which needs only the lower half of the L profile
 and the exact earlier values, supplied as a DnSeries.  A DnSeries
 refuses any value that breaks bounds every true series meets, whether
@@ -35,7 +36,7 @@ table is filled and read in _harvest.  Table cells do not depend on
 the table's size, so one fill sized for the largest n serves every
 smaller one: as layer n - 1 passes it becomes n's matrix, and the
 process keeps it as its one memoized matrix.  extend_series reads each
-l(i) from a half-height harvest; any other count copies the memo when
+l(i) from a half-height harvest; any other count reads the memo when
 it is high enough, else harvests n alone at full height.  Each fill
 is checked against the budget set by partition_table.memory_budget.
 """
@@ -52,7 +53,7 @@ from .errors import MissingPriorError
 from .partition_table import PartitionTable, TableParams, graphical_params
 
 FAMILIES = ("G", "L", "H")
-_MATRIX: dict = {}  # n -> (full height?, matrix), one n at a time
+_MATRIX: dict = {}  # n -> (full height?, columns), one n at a time
 
 
 def _even_range(lo: int, hi: int) -> range:
@@ -234,39 +235,40 @@ def _harvest(ns: range, full: bool, visit) -> None:
         n = l + 1
         if n in ns:
             _MATRIX.clear()
-            _MATRIX[n] = (full, layer.g_prime_rows(n, *_extent(n, full)))
+            _MATRIX[n] = (full, layer.g_prime_columns(n, *_extent(n, full)))
             visit(n)
 
     PartitionTable.build(params, layer_visitor=harvest)
 
 
-def graphical_matrix(n: int, full: bool = True) -> dict:
+def graphical_matrix(n: int, full: bool = True) -> tuple:
     """The graphical counts g(N, k, n) that every quantity here sums.
 
-    Returns a mapping from each even N in [n, top] to a new list
-    [g(N, k, n) for k = 1..kmax], the number of zero-free graphical
-    sequences on n vertices with sum N and largest degree exactly k,
-    where (top, kmax) is n's extent at full or half height (_extent).
-    They are copied from the memoized matrix of n when it is at least
-    that high, else from a full-height harvest of n, whose build alone
-    checks the memory budget.
+    Returns one tuple per k = 1..kmax, column k holding g(N, k, n) for
+    the even N in [n, top] ascending: the zero-free graphical sequences
+    on n vertices with sum N and largest degree exactly k, where (top,
+    kmax) is n's extent at full or half height (_extent).  They are the
+    memoized columns of n, cut to that extent, when the memo is at
+    least that high, else read by a full-height harvest of n, whose
+    build alone checks the memory budget.
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     entry = _MATRIX.get(n)
     if entry is None or (full and not entry[0]):
         _harvest(range(n, n + 1), True, lambda i: None)
     top, kmax = _extent(n, full)
-    rows = _MATRIX[n][1]
-    return {N: rows[N][:kmax] for N in _even_range(n, top)}
+    sums = len(_even_range(n, top))
+    return tuple(col[:sums] for col in _MATRIX[n][1][:kmax])
 
 
 def count_d_basic(n: int) -> int:
-    """d(n): the sum of the whole graphical matrix, sums n..n(n-1)."""
+    """d(n): the sum of every cell of the graphical matrix."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
         return 0
-    rows = graphical_matrix(n)
-    return sum(map(sum, rows.values()))
+    return sum(map(sum, graphical_matrix(n)))
 
 
 def count_d_improved(n: int, prior: DnSeries) -> int:
@@ -314,18 +316,18 @@ def count_l(n: int) -> int:
 def profile(n: int, family: str, *, mirror: bool = True) -> SumProfile:
     """Per-degree-sum counts for family "G", "L", or "H".
 
-    Each entry is a row sum of the graphical matrix over the family's
-    largest degrees.  With ``mirror`` (the default) the L family reads
-    only the lower half of its range and fills the upper half from its
-    exact symmetry about n(n-1)/2; ``mirror=False`` reads every entry,
-    so the symmetry can be validated rather than assumed.  G and H are
-    always read whole.
+    Each entry is a row sum of the graphical matrix over the columns of
+    the family's largest degrees.  With ``mirror`` (the default) the L
+    family reads only the lower half of its range and fills the upper
+    half from its exact symmetry about n(n-1)/2; ``mirror=False`` reads
+    every entry, so the symmetry can be validated rather than assumed.
+    G and H are always read whole.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     if n < 2:
         raise ValueError("need n >= 2")
-    # The family's largest degrees, as a slice of a matrix row, its even
+    # The family's largest degrees, as a slice of the columns, its even
     # sums N in [lo, hi], and the center its sums mirror about (L only).
     degrees, lo, hi, center = {
         "G": (slice(0, n - 1), n, n * (n - 1), None),
@@ -333,10 +335,10 @@ def profile(n: int, family: str, *, mirror: bool = True) -> SumProfile:
         "H": (slice(n - 2, n - 1), 2 * (n - 1), n * (n - 1), None),
     }[family]
     half = mirror and center is not None
-    rows = graphical_matrix(n, not half)
-    entries = {
-        N: sum(row[degrees]) for N, row in rows.items() if lo <= N <= hi
-    }
+    cols = graphical_matrix(n, not half)[degrees]
+    sums = _even_range(n, _extent(n, not half)[0])
+    entries = {N: total for N, total in zip(sums, map(sum, zip(*cols)))
+               if lo <= N <= hi}
     if half:
         for N in _even_range(center // 2 + 1, hi):
             entries[N] = entries[center - N]
@@ -347,8 +349,7 @@ def count_by_largest(n: int) -> dict:
     """Split d(n) by largest degree: mapping k -> count, k = 1..n-1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = graphical_matrix(n)
-    return dict(zip(range(1, n), map(sum, zip(*rows.values()))))
+    return dict(zip(range(1, n), map(sum, graphical_matrix(n))))
 
 
 def extend_series(series: DnSeries, n: int) -> DnSeries:

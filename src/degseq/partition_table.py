@@ -71,10 +71,11 @@ N - k - l + 1, negative once k > N or l > N, so new minus old slice k
 telescopes to new minus old slice N for k > N, and to 0 for l > N.  Row
 N of every slice k > N thus changes with row N of slice N, and no row N
 changes after layer N.  Columns past N, and past S_k, are saturated.
-So g_prime_rows reads a graphical matrix one degree column at a time
-from the table graphical_params sizes for it: every stored row of the
-column is one strided read of a slice, rows past the last that holds a
-partition are 0, and only the cells of negative sum go through g_prime.
+So g_prime_columns reads a graphical matrix as one tuple per degree
+column from the table graphical_params sizes for it: every stored row
+of the column is one strided read of a slice, rows past the last that
+holds a partition are 0, and only the cells of negative sum go through
+g_prime.
 
 Both builds refuse, before they allocate, a table whose bytes pass the
 budget: the innermost :func:`memory_budget`'s cap, else
@@ -184,7 +185,7 @@ def _slice_shape(params: TableParams, k: int) -> tuple:
 
 
 def graphical_params(n: int, top: int, kmax: int) -> TableParams:
-    """The table g_prime_rows(n, top, kmax) reads from.
+    """The table g_prime_columns(n, top, kmax) reads from.
 
     g_prime(N, k, n) reads row N - k - n + 1 of slice k - 1 in layer
     n - 1, a cell of row + slice N - n.  Over the even N <= top that is
@@ -214,22 +215,21 @@ def estimate_table_bytes(params: TableParams) -> int:
     return sum(_array_bytes(params))
 
 
+def _bounded_array_bytes(params: TableParams) -> Iterator[int]:
+    """The bytes of each slice k = 0..max_part a bounded build
+    allocates, its only storage: a slot per row 0.._slice_rows, each a
+    pointer and a CPython int (24 bytes and 4 per 30-bit digit, in
+    16-byte blocks) of at most p(M) < e^(pi sqrt(2M/3)), M = max_sum,
+    plus 8 bytes for the allocator."""
+    bits = math.pi * math.sqrt(2 * params.max_sum / 3) / math.log(2)
+    slot = 16 + 16 * -(-(24 + 4 * (int(bits) // 30 + 1)) // 16)
+    for k in range(params.max_part + 1):
+        yield slot * (_slice_rows(params, k) + 1)
+
+
 def estimate_bounded_bytes(params: TableParams) -> int:
-    """Estimated peak bytes of a bounded table build: one layer of slots,
-    the fill's only storage, each a pointer and a CPython int (24 bytes
-    and 4 per 30-bit digit, in 16-byte blocks) of at most
-    p(M) < e^(pi sqrt(2M/3)), M = max_sum, plus 8 bytes a slot for the
-    allocator.  The slots are summed in closed form over the slices,
-    K = max_part and L = target_parts: slice k holds 1 + k * L for
-    k <= a = min(K, M // (L + 1)), 1 + M - k for a < k <= min(K, M) and
-    1 above (_slice_rows)."""
-    M, K, L = params.max_sum, params.max_part, params.target_parts
-    a, b = min(K, M // (L + 1)), min(K, M)
-    slots = (K + 1 + L * a * (a + 1) // 2 + (b - a) * M
-             - (b * (b + 1) - a * (a + 1)) // 2)
-    digits = int(math.pi * math.sqrt(2 * M / 3) / math.log(2)) // 30 + 1
-    slot = 16 + 16 * -(-(24 + 4 * digits) // 16)
-    return slots * slot
+    """Peak memory of a bounded table build, in bytes: its slices' sum."""
+    return sum(_bounded_array_bytes(params))
 
 
 def _update(dst, src, mod):
@@ -411,16 +411,16 @@ class PartitionTable:
             raise ValueError("graphical count needs an even N")
         return self.query_raw(N - k - l + 1, k - 1, l - 1, l - k - 1)
 
-    def g_prime_rows(self, n: int, max_sum: int, kmax: int) -> dict:
+    def g_prime_columns(self, n: int, max_sum: int, kmax: int) -> tuple:
         """g_prime(N, k, n) over the even N in [n, max_sum], k = 1..kmax,
         from a table of layer n - 1 that covers graphical_params(n,
         max_sum, kmax), with kmax < n.
 
-        Returns a mapping from each such N to a new list over k.  Column
-        k is the cells (N - k - n + 1, k - 1, n - k - 1), each stored as
-        the clamp chain gives it: one strided read of slice k - 1
-        (_column) up to row (k - 1)(n - 1), zeros above, and the cells of
-        negative sum, outside the stored block, through g_prime.
+        Returns one tuple per k, over N ascending.  Column k is the cells
+        (N - k - n + 1, k - 1, n - k - 1), each stored as the clamp chain
+        gives it: one strided read of slice k - 1 (_column) up to row
+        (k - 1)(n - 1), zeros above, and the cells of negative sum,
+        outside the stored block, through g_prime.
 
         Raises, before any read:
             LayerNotResidentError: the table holds another layer.
@@ -438,16 +438,16 @@ class PartitionTable:
             rows = range(sums.start - k - n + 1, sums.stop - k - n + 1, 2)
             a, b = (len(range(rows.start, R, 2))
                     for R in (0, (k - 1) * (n - 1) + 1))
-            cols.append([self.g_prime(N, k, n) for N in sums[:a]]
-                        + self._column(k - 1, rows[a:b], n - k - 1)
-                        + [0] * (len(rows) - b))
-        return {N: row for N, *row in zip(sums, *cols, strict=True)}
+            cols.append(tuple([self.g_prime(N, k, n) for N in sums[:a]]
+                              + self._column(k - 1, rows[a:b], n - k - 1)
+                              + [0] * (len(rows) - b)))
+        return tuple(cols)
 
     def _column(self, k: int, rows: range, s: int) -> list:
         """The stored values of the held layer at slice k, slack s (at
         most each row's sum), over ``rows``: one strided numpy read.
         ``rows`` must lie in the slice's stored block, as query_raw and
-        g_prime_rows check: numpy stops at its end, giving a short list."""
+        g_prime_columns check: numpy stops at its end, giving a short list."""
         cells = self._slices[k]
         col = cells[:, rows.start : rows.stop : rows.step,
                     min(s, cells.shape[2] - 1)].tolist()
@@ -471,7 +471,7 @@ class BoundedPartitionTable(PartitionTable):
 
     @classmethod
     def build(cls, params: TableParams) -> "BoundedPartitionTable":
-        _check_budget([estimate_bounded_bytes(params)])
+        _check_budget(_bounded_array_bytes(params))
         slices = [np.zeros(_slice_rows(params, k) + 1, dtype=object)
                   for k in range(params.max_part + 1)]
         for cells in slices:

@@ -40,16 +40,17 @@ def table_builds(monkeypatch, empty_memo):
 
 @pytest.fixture(scope="session")
 def read_matrix():
-    """The reference reader PartitionTable.g_prime_rows must agree with:
-    read(table, n, top, kmax) is n's graphical matrix up to sum top and
-    largest degree kmax, read cell by cell through g_prime from a table
-    holding layer n - 1."""
+    """The reference reader PartitionTable.g_prime_columns must agree
+    with: read(table, n, top, kmax) is n's graphical matrix up to sum top
+    and largest degree kmax, one tuple per k over the even N ascending,
+    read cell by cell through g_prime from a table holding layer n - 1."""
 
     def read(table, n, top, kmax):
-        return {
-            N: [table.g_prime(N, k, n) for k in range(1, kmax + 1)]
-            for N in range(n + n % 2, top + 1, 2)
-        }
+        sums = range(n + n % 2, top + 1, 2)
+        return tuple(
+            tuple(table.g_prime(N, k, n) for N in sums)
+            for k in range(1, kmax + 1)
+        )
 
     return read
 

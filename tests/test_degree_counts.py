@@ -18,6 +18,7 @@ from degseq.degree_counts import (
     FAMILIES,
     DnSeries,
     _extent,
+    _harvest,
     _matrix_params,
     count_by_largest,
     count_d0,
@@ -184,16 +185,20 @@ class TestGraphicalMatrix:
         series = extend_series(DnSeries(), 14)
         for n in range(2, 15):
             full = graphical_matrix(n)
-            cols = [sum(col) for col in zip(*full.values())]
+            sums = range(n + n % 2, n * (n - 1) + 1, 2)
+            assert len(full) == n - 1
+            assert all(len(col) == len(sums) for col in full)
+            cols = [sum(col) for col in full]
             d, h, l = sum(cols), cols[-1], sum(cols[:-1])
             assert d == series[n] == h + l
             assert (h, l) == (count_h(n, series), count_l(n))
-            dc = sum(sum(r) for N, r in full.items() if N >= 2 * (n - 1))
+            dc = sum(v for col in full for N, v in zip(sums, col)
+                     if N >= 2 * (n - 1))
             assert dc + count_dd(n) == d
             if n >= 3:
                 assert cols[n - 3] == count_s(n)
             # Both heights, as (largest sum, largest degree), hold the
-            # same cells whether copied from the memo or read from the
+            # same cells whether cut from the memo or read from the
             # table graphical_params sizes for them, which is how a fill
             # of that height is sized.  The table is built and read
             # here, independently of the memo.
@@ -201,13 +206,10 @@ class TestGraphicalMatrix:
                        False: (n * (n - 1) // 2, n - 2)}
             for height, (top, kmax) in heights.items():
                 table = PartitionTable.build(_matrix_params(n, height))
-                for rows in (
-                    graphical_matrix(n, height),
-                    read_matrix(table, n, top, kmax),
-                ):
-                    assert list(rows) == [N for N in full if N <= top]
-                    for N, row in rows.items():
-                        assert row == full[N][:kmax]
+                cut = tuple(col[:len(range(sums.start, top + 1, 2))]
+                            for col in full[:kmax])
+                assert graphical_matrix(n, height) == cut
+                assert read_matrix(table, n, top, kmax) == cut
 
 
     def test_series_reads_few_cells_one_at_a_time(self, monkeypatch):
@@ -234,6 +236,60 @@ class TestGraphicalMatrix:
         reads = [N - k - 39 for N in range(40, 78, 2) for k in range(1, 38)]
         assert (len(reads), len(calls)) == (703, 342)
         assert len(calls) == sum(R < 0 for R in reads)
+
+
+class TestSlackBand:
+    """The slack band a banded fill would store, pinned on today's
+    unbanded fill: in slice k no cell above column (L - k)^2 // 4, L the
+    table's target_parts, reaches a graphical read, at either height, in
+    a series harvest or in a single n's."""
+
+    NS = range(4, 17)
+
+    @staticmethod
+    def harvest(ns, full):
+        """Each n's matrix as a harvest of ``ns`` memoizes it."""
+        got = {}
+        _harvest(ns, full,
+                 lambda n: got.update({n: graphical_matrix(n, full)}))
+        return got
+
+    def reads(self, full):
+        """Each n's matrix from a series harvest of NS and from each n's
+        own harvest."""
+        return (self.harvest(self.NS, full),
+                {n: self.harvest(range(n, n + 1), full)[n] for n in self.NS})
+
+    def garble_past(self, monkeypatch, band):
+        """From here on, every fill's layer visitor, after the harvest's
+        read, overwrites each column of slice k above min((k + 1)^2 // 4,
+        band(L, k)) with garbage, in every layer."""
+        build = PartitionTable.build.__func__
+
+        def garbling(cls, params, layer_visitor):
+            def visit(l, layer):
+                layer_visitor(l, layer)
+                for k, cells in enumerate(layer._slices):
+                    last = min((k + 1) ** 2 // 4, band(params.target_parts, k))
+                    cells[:, :, last + 1:] = 0x5A5A5A5A5A5A5A5A
+            return build(cls, params, layer_visitor=visit)
+
+        monkeypatch.setattr(PartitionTable, "build", classmethod(garbling))
+
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "half"])
+    def test_columns_past_the_band_are_never_read(self, monkeypatch, full):
+        clean = self.reads(full)
+        self.garble_past(monkeypatch, lambda L, k: (L - k) ** 2 // 4)
+        assert self.reads(full) == clean
+
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "half"])
+    def test_one_step_tighter_is_caught(self, monkeypatch, full):
+        clean = self.reads(full)
+        self.garble_past(monkeypatch, lambda L, k: (L - 1 - k) ** 2 // 4)
+        # A series harvest reads its smaller n below the garbled layers.
+        for got, want, broken in zip(self.reads(full), clean,
+                                     ([16], list(self.NS))):
+            assert [n for n in self.NS if got[n] != want[n]] == broken
 
 
 class TestMatrixMemo:
@@ -265,14 +321,18 @@ class TestMatrixMemo:
             count_s(n)
         assert table_builds == [_matrix_params(n, True) for n in (7, 8, 7)]
 
-    def test_answers_are_copies(self, table_builds, read_matrix):
+    def test_answers_cannot_alter_the_memo(self, table_builds, read_matrix):
         n = 8
         want = read_matrix(
             PartitionTable.build(_matrix_params(n, True)),
             n, n * (n - 1), n - 1,
         )
-        for row in graphical_matrix(n).values():
-            row[:] = [-1] * len(row)
+        for full in (True, False):
+            cols = graphical_matrix(n, full)
+            assert type(cols) is tuple
+            for col in cols:
+                with pytest.raises(TypeError):
+                    col[0] = -1
         for family in FAMILIES:
             entries = profile(n, family).entries
             for N in entries:
@@ -333,11 +393,14 @@ class TestMatrixMemo:
         (count_l, (0,)),
         (profile, (1, "G")),
         (count_by_largest, (1,)),
+        (graphical_matrix, (1,)),
+        (graphical_matrix, (0, False)),
     ]],
 )
-def test_counter_refuses_n_below_its_minimum(counter, args):
+def test_counter_refuses_n_below_its_minimum(table_builds, counter, args):
     with pytest.raises(ValueError, match="need n >= "):
         counter(*args)
+    assert table_builds == []
 
 
 class TestDnSeries:
@@ -490,7 +553,7 @@ class TestExactAbove2To62:
 def test_every_count_is_a_python_int(n, series_40):
     """No numpy scalar leaks out: an np.uint64 would wrap in sums."""
     series, _ = series_40
-    cells = [v for row in graphical_matrix(n).values() for v in row]
+    cells = [v for col in graphical_matrix(n) for v in col]
     counts = [
         count_d_basic(n), count_d_improved(n, series), count_d0(n, series),
         count_h(n, series), count_l(n), count_dc_direct(n),

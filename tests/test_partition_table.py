@@ -528,8 +528,8 @@ class TestLayerView:
         assert checked == list(range(1, params.target_parts + 1))
 
 
-class TestRowReader:
-    """g_prime_rows gathers every stored cell of a column at once.
+class TestColumnReader:
+    """g_prime_columns gathers every stored cell of a column at once.
     Inside its contract it must read what g_prime reads cell by cell
     (the conftest's read_matrix); outside it, it raises before any
     read."""
@@ -587,7 +587,7 @@ class TestRowReader:
         def visit(l, layer):
             n = l + 1
             top, kmax = _extent(n, full)
-            assert layer.g_prime_rows(n, top, kmax) == read_matrix(
+            assert layer.g_prime_columns(n, top, kmax) == read_matrix(
                 layer, n, top, kmax
             ), (full, n)
             read.append(n)
@@ -616,7 +616,7 @@ class TestRowReader:
             except ValueError as exc:
                 return type(exc)
 
-        assert outcome(table.g_prime_rows) == outcome(
+        assert outcome(table.g_prime_columns) == outcome(
             lambda *args: read_matrix(table, *args))
 
     @pytest.mark.parametrize("n", range(2, 17))
@@ -628,7 +628,7 @@ class TestRowReader:
             reads.append((BoundedPartitionTable, 2 * n - 3, n - 3))
         for cls, top, kmax in reads:
             table = cls.build(graphical_params(n, top, kmax))
-            assert table.g_prime_rows(n, top, kmax) == read_matrix(
+            assert table.g_prime_columns(n, top, kmax) == read_matrix(
                 table, n, top, kmax
             ), (cls, top, kmax)
 
@@ -638,7 +638,7 @@ class TestRowReader:
         params = graphical_params(n, 2 * n - 3, n - 3)
         assert params == TableParams(n - 4, n - 4, n - 1)
         table = BoundedPartitionTable.build(params)
-        assert table.g_prime_rows(n, 2 * n - 3, n - 3) == read_matrix(
+        assert table.g_prime_columns(n, 2 * n - 3, n - 3) == read_matrix(
             table, n, 2 * n - 3, n - 3
         )
 
@@ -675,7 +675,7 @@ class TestRowReader:
         monkeypatch.setattr(PartitionTable, "g_prime",
                             lambda *args: reads.append(args))
         with pytest.raises(error):
-            table.g_prime_rows(n, top, kmax)
+            table.g_prime_columns(n, top, kmax)
         assert reads == []
 
     def test_unsaturated_bounded_read_raises_as_the_reference(
@@ -683,7 +683,7 @@ class TestRowReader:
         # n = 9 to sum 30 reads slacks below the sum, off the surface.
         table = BoundedPartitionTable.build(TableParams(30, 5, 8))
         with pytest.raises(ValueError, match="saturated surface"):
-            table.g_prime_rows(9, 30, 4)
+            table.g_prime_columns(9, 30, 4)
         with pytest.raises(ValueError, match="saturated surface"):
             read_matrix(table, 9, 30, 4)
 
