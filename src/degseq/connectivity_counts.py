@@ -10,9 +10,9 @@ so the zero-free count d(n) splits by degree sum alone:
 The dd sums live below 2(n - 1), which keeps every lookup on the
 saturated slack surface; a BoundedPartitionTable therefore answers them
 with cubic total work.  dc is served as d(n) - dd(n) from the exact
-d(n).  count_dc_direct, the graphical matrix summed over the sums from
-2(n - 1) up, is the independent route it is checked against; it and
-count_s read the matrix of n that degree_counts memoizes.
+d(n).  count_dc_direct, the matrix columns summed from the sum 2(n - 1)
+up, is the independent route it is checked against; it and count_s
+read the columns of n's graphical matrix that degree_counts memoizes.
 
 The biconnectivity side counts, among zero-free graphical sequences:
 
@@ -77,7 +77,7 @@ def count_dd(n: int) -> int:
     at most n - 3.  A read g'(N, k, n) with N <= 2n - 3 and k >= 1 lands
     on the saturated slack surface, sum at most n - 3 - k below slack
     n - k - 1, so a bounded table sized by graphical_params for that
-    read serves it; the work is cubic.
+    read serves it, and dd sums its columns; the work is cubic.
     """
     if n < 2:
         raise ValueError("need n >= 2")

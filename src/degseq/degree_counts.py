@@ -258,8 +258,8 @@ def graphical_matrix(n: int, full: bool = True) -> tuple:
     if entry is None or (full and not entry[0]):
         _harvest(range(n, n + 1), True, lambda i: None)
     top, kmax = _extent(n, full)
-    sums = len(_even_range(n, top))
-    return tuple(col[:sums] for col in _MATRIX[n][1][:kmax])
+    rows = len(_even_range(n, top))
+    return tuple(col[:rows] for col in _MATRIX[n][1][:kmax])
 
 
 def count_d_basic(n: int) -> int:

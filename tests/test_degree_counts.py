@@ -286,7 +286,8 @@ class TestSlackBand:
     def test_one_step_tighter_is_caught(self, monkeypatch, full):
         clean = self.reads(full)
         self.garble_past(monkeypatch, lambda L, k: (L - 1 - k) ** 2 // 4)
-        # A series harvest reads its smaller n below the garbled layers.
+        # The band follows the table's L, so in a series harvest it
+        # reaches only the reads of the top n.
         for got, want, broken in zip(self.reads(full), clean,
                                      ([16], list(self.NS))):
             assert [n for n in self.NS if got[n] != want[n]] == broken
