@@ -13,7 +13,8 @@ Subcommands:
 
 Each subcommand takes only the flags it reads: `--memory-cap` (the
 budget of every table it builds) all of them, `--cache` count, series
-and ratio, `--oracle-cap` verify, and `--format` count, profile and ratio.
+and ratio, and `--format` count, profile and ratio.  verify refuses a
+--max-n past the oracle's fixed cap, n = 14, before any work.
 
 Each quantity is served by one route, looked up in the QUANTITIES
 table, whose lag says how far the route reads the d series.  d is read
@@ -26,11 +27,14 @@ cache only decides whether the series persists between runs; without
 one it lives in memory for the request.  The cache is written back
 only when the request extended the series, also when that fill fails
 or is interrupted, so an interrupted run keeps every value computed.
-A route that reads no series (l, dd, s) does not open the cache.
+A request that must extend a cache whose directory is missing or not
+writable is refused before the fill.  A route that reads no series
+(l, dd, s) does not open the cache.
 
-Exit codes: 0 success; 1 bad arguments (including oracle-cap
-violations and a cache that fails its checks on reading); 2 memory
-budget refused; 4 verification mismatch.  Code 3 is not used.
+Exit codes: 0 success; 1 a bad request, refused with a ValueError or
+an OSError (including verify past the oracle cap and a cache that fails
+its checks on reading or cannot be written); 2 memory budget refused;
+4 verification mismatch.  Code 3 is not used.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from .degree_counts import (
     read_series_file,
     write_series_file,
 )
-from .errors import MemoryBudgetError, OracleCapError
+from .errors import MemoryBudgetError
 from .partition_table import memory_budget
 
 EXIT_OK = 0
@@ -70,14 +74,10 @@ EXIT_MEMORY = 2
 EXIT_MISMATCH = 4
 
 
-class _UsageError(Exception):
-    """Bad arguments; maps to exit 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_range(text: str) -> range:
@@ -117,13 +117,18 @@ def _series(path: str | None, top: int) -> DnSeries:
 
     The cache is written back only if the series grew, and then also
     when the fill stops early, so an interrupted run keeps every value
-    computed.  With no ``path`` the series lives in memory only.
+    computed.  A cache that could not be written back is refused before
+    the fill.  With no ``path`` the series lives in memory only.
     """
     if path and os.path.exists(path):
         series = read_series_file(path)
     else:
         series = DnSeries()
     held = series.n_max
+    if path and held < top and not os.access(
+            os.path.dirname(path) or ".", os.W_OK | os.X_OK):
+        raise ValueError(f"cache {path} cannot be written: its directory "
+                         "is missing or not writable")
     try:
         if held < top:
             extend_series(series, top)
@@ -193,7 +198,7 @@ def _cmd_count(args) -> int:
     n_values = (args.n,) if args.range is None else args.range
     lo, lag, compute = QUANTITIES[args.quantity]
     if n_values[0] < lo:
-        raise _UsageError(
+        raise ValueError(
             f"quantity {args.quantity!r} is defined for n >= {lo}, "
             f"got n = {n_values[0]}"
         )
@@ -228,7 +233,7 @@ def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
 
 def _cmd_ratio(args) -> int:
     if args.range[0] < 3:
-        raise _UsageError("ratio needs n >= 3 (d(n-1) must be nonzero)")
+        raise ValueError("ratio needs n >= 3 (d(n-1) must be nonzero)")
     series = _series(args.cache, args.range[-1])
     rows = [
         (str(n), _ratio_decimal(series[n], series[n - 1]))
@@ -240,15 +245,14 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_verify(args) -> int:
     # Only verify runs the oracle, so only verify imports it.
-    from .oracle import DEFAULT_ORACLE_CAP, oracle_counts
+    from .oracle import ORACLE_CAP, oracle_counts
 
-    cap = DEFAULT_ORACLE_CAP if args.oracle_cap is None else args.oracle_cap
-    if args.max_n > cap:
-        raise OracleCapError(
-            f"verify reaches n={args.max_n} but the oracle cap is {cap}"
+    if args.max_n > ORACLE_CAP:
+        raise ValueError(
+            f"verify reaches n={args.max_n} but the oracle cap is {ORACLE_CAP}"
         )
     if args.max_n < 2:
-        raise _UsageError("verify needs --max-n >= 2")
+        raise ValueError("verify needs --max-n >= 2")
     routes = {
         q: (q, lo, compute) for q, (lo, _, compute) in QUANTITIES.items()
     }
@@ -256,7 +260,7 @@ def _cmd_verify(args) -> int:
     series = _series(None, args.max_n)
     mismatches = {}
     for n in range(2, args.max_n + 1):
-        rep = oracle_counts(n, cap=cap)
+        rep = oracle_counts(n)
         for name, (field, lo, compute) in routes.items():
             if n < lo:
                 continue
@@ -328,13 +332,6 @@ def _build_parser() -> _Parser:
         "verify", _cmd_verify, "cross-check every route against the oracle"
     )
     p_verify.add_argument("--max-n", type=int, required=True)
-    p_verify.add_argument(
-        "--oracle-cap",
-        type=int,
-        metavar="N",
-        help="largest n the oracle may enumerate "
-        "(default: degseq.oracle.DEFAULT_ORACLE_CAP)",
-    )
 
     p_profile = add_command(
         "profile", _cmd_profile, "per-degree-sum counts of one family"
@@ -356,8 +353,6 @@ def _build_parser() -> _Parser:
 
 # Errors reported as one line on stderr, with the exit code of each.
 _EXIT_CODES = {
-    _UsageError: EXIT_USAGE,
-    OracleCapError: EXIT_USAGE,
     OSError: EXIT_USAGE,
     ValueError: EXIT_USAGE,
     MemoryBudgetError: EXIT_MEMORY,

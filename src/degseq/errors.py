@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-The CLI exits 2 on MemoryBudgetError and 1 on OracleCapError
-(cli._EXIT_CODES); LayerNotResidentError and MissingPriorError are
-caller errors that no command raises.  Keep the hierarchy flat and the
-meanings narrow.
+The CLI exits 2 on MemoryBudgetError (cli._EXIT_CODES).  Any other bad
+request, a layer the table does not hold or an oracle run past its cap
+included, is a ValueError.  MissingPriorError is a caller error that no
+command raises.  Keep the hierarchy flat and the meanings narrow.
 """
 
 
@@ -24,13 +24,5 @@ class MemoryBudgetError(DegseqError):
         )
 
 
-class LayerNotResidentError(DegseqError):
-    """A query asked for a layer that the table does not hold."""
-
-
 class MissingPriorError(DegseqError):
     """A computation needs earlier series values that were not supplied."""
-
-
-class OracleCapError(DegseqError):
-    """A brute-force enumeration was requested beyond the configured cap."""

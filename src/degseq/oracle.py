@@ -17,8 +17,8 @@ remains a genuine check.  Deciding a candidate costs one C-level sort
 for order (it equals the sequence exactly when no term is below its
 successor), builtin checks of sign and parity, then one loop up to the
 crossing index with running sums and no lists.  Enumeration cost grows
-roughly fourfold per vertex, so a cap (default 14) guards against
-accidental huge runs.
+roughly fourfold per vertex, so a fixed cap, ORACLE_CAP = 14, guards
+against accidental huge runs.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .degree_counts import SumProfile, _even_range
-from .errors import OracleCapError
 
-DEFAULT_ORACLE_CAP = 14
+ORACLE_CAP = 14
 
 
 def enumerate_even_bounded(n: int) -> Iterator[tuple]:
@@ -143,7 +142,7 @@ _FIELDS = {
 }
 
 
-def oracle_counts(n: int, *, cap: int | None = None) -> CountReport:
+def oracle_counts(n: int) -> CountReport:
     """Exact counts for every report field from the histogram of E(n).
 
     The zero-allowing total d0(n) is 1 + sum of d(i) for i = 2..n (the
@@ -151,13 +150,11 @@ def oracle_counts(n: int, *, cap: int | None = None) -> CountReport:
     memoized histograms of the smaller i.
 
     Raises:
-        OracleCapError: n exceeds the cap (default 14).
-        ValueError: n < 2.
+        ValueError: n exceeds ORACLE_CAP, or n < 2.
     """
-    limit = DEFAULT_ORACLE_CAP if cap is None else cap
-    if n > limit:
-        raise OracleCapError(
-            f"oracle enumeration capped at n={limit}, asked for n={n}"
+    if n > ORACLE_CAP:
+        raise ValueError(
+            f"oracle enumeration capped at n={ORACLE_CAP}, asked for n={n}"
         )
     if n < 2:
         raise ValueError("need n >= 2")

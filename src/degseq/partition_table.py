@@ -100,7 +100,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import LayerNotResidentError, MemoryBudgetError
+from .errors import MemoryBudgetError
 
 
 def _default_memory_cap() -> int:
@@ -302,8 +302,8 @@ class PartitionTable:
     Build once, then query; instances are immutable after ``build``
     returns and can be shared freely between readers.  The table holds
     the layer l = target_parts only, so a query is answered when its
-    clamped l equals min(target_parts, N) and raises
-    LayerNotResidentError otherwise.
+    clamped l equals min(target_parts, N) and raises ValueError
+    otherwise.
 
     Instances come from ``build``: the table it returns, or the view of
     each layer it hands a ``layer_visitor``.
@@ -363,8 +363,8 @@ class PartitionTable:
 
         Raises:
             ValueError: the clamped (N, k) lies outside the stored block,
-                N + k > max_sum or k > max_part.
-            LayerNotResidentError: the clamped l is not the held layer's.
+                N + k > max_sum or k > max_part, or the clamped l is not
+                the held layer's.
         """
         if N < 0 or k < 0 or l < 0 or s < 0:
             return 0
@@ -387,7 +387,7 @@ class PartitionTable:
                 f"(max_sum={p.max_sum}, max_part={p.max_part})"
             )
         if min(p.target_parts, N) != l:
-            raise LayerNotResidentError(
+            raise ValueError(
                 f"layer l={l} is not servable from the held layer "
                 f"{p.target_parts}"
             )
@@ -422,13 +422,12 @@ class PartitionTable:
         (k - 1)(n - 1), zeros above, and the cells of negative sum,
         outside the stored block, through g_prime.
 
-        Raises, before any read:
-            LayerNotResidentError: the table holds another layer.
-            ValueError: kmax >= n, or the table is too small.
+        Raises ValueError, before any read: the table holds another
+        layer, kmax >= n, or the table is too small.
         """
         p, need = self.params, graphical_params(n, max_sum, kmax)
         if p.target_parts != n - 1:
-            raise LayerNotResidentError(
+            raise ValueError(
                 f"layer {n - 1} is not the held layer {p.target_parts}")
         if kmax >= n or need.max_sum > p.max_sum or need.max_part > p.max_part:
             raise ValueError(f"reading n={n} to degree {kmax} needs kmax < n "

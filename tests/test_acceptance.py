@@ -57,7 +57,7 @@ def oracle_reports():
     """Brute-force reports for n up to 13, with their build time."""
     t0 = time.perf_counter()
     reports = {
-        n: oracle_counts(n, cap=ORACLE_LIMIT)
+        n: oracle_counts(n)
         for n in range(2, ORACLE_LIMIT + 1)
     }
     return reports, time.perf_counter() - t0

@@ -280,8 +280,8 @@ class TestVerify:
 
 class TestExports:
     def test_package_exports_only_the_counting_api(self):
-        # The oracle, OracleCapError, count_by_largest and
-        # count_d_improved live in their own modules only.
+        # The oracle, count_by_largest and count_d_improved live in
+        # their own modules only.
         assert degseq.__all__ == [
             "BiconnReport", "DEFAULT_MEMORY_CAP", "DegseqError",
             "DnSeries", "MemoryBudgetError", "MissingPriorError",
@@ -347,8 +347,14 @@ class TestExitCodes:
         assert code == 1
         assert "unrecognized arguments: --cache" in err
         code, _, err = run(
-            capsys, "profile", "--n", "4", "--family", "G",
-            "--oracle-cap", "3",
+            capsys, "profile", "--n", "4", "--family", "G", "--max-n", "3",
+        )
+        assert code == 1
+        assert "unrecognized arguments: --max-n" in err
+
+    def test_oracle_cap_is_not_a_flag(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "--max-n", "3", "--oracle-cap", "3",
         )
         assert code == 1
         assert "unrecognized arguments: --oracle-cap" in err
@@ -501,6 +507,44 @@ class TestCacheFlow:
                 "--cache", str(cache),
             ])
         assert cache.read_text() == "1 0\n2 1\n3 2\n4 7\n5 20\n6 71\n"
+
+    def test_unwritable_cache_is_refused_before_the_fill(
+        self, capsys, tmp_path, table_builds
+    ):
+        cache = tmp_path / "missing" / "d.txt"
+        code, out, err = run(
+            capsys, "series", "--quantity", "d", "--range", "2..60",
+            "--cache", str(cache),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"degseq: error: cache {cache} cannot be written: its "
+            "directory is missing or not writable"
+        ]
+        assert table_builds == []
+
+    def test_covered_request_reads_an_unwritable_cache(
+        self, capsys, tmp_path, monkeypatch, table_builds
+    ):
+        # Root may write anywhere, so os.access stands in for a read-only
+        # directory: a covered request reads the cache, a longer one is
+        # refused before any table is built.
+        cache = tmp_path / "d.txt"
+        cache.write_text("1 0\n2 1\n3 2\n4 7\n5 20\n6 71\n")
+        monkeypatch.setattr(os, "access", lambda *args: False)
+        code, out, err = run(
+            capsys, "series", "--quantity", "d", "--range", "5..6",
+            "--cache", str(cache),
+        )
+        assert (code, out, err) == (0, "5 20\n6 71\n", "")
+        code, out, err = run(
+            capsys, "series", "--quantity", "d", "--range", "5..7",
+            "--cache", str(cache),
+        )
+        assert (code, out) == (1, "")
+        assert str(cache) in err
+        assert table_builds == []
 
     def test_refused_run_leaves_the_cache_alone(self, capsys, tmp_path):
         cache = tmp_path / "d.txt"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from degseq import oracle
 from degseq.degree_counts import DnSeries, extend_series, graphical_matrix
-from degseq.errors import OracleCapError
 from degseq.oracle import (
     _validate,
     enumerate_even_bounded,
@@ -275,9 +274,13 @@ class TestOracleCounts:
         oracle_counts(9)
         assert calls == []
 
-    def test_cap_enforced(self):
-        with pytest.raises(OracleCapError):
-            oracle_counts(9, cap=8)
+    def test_cap_enforced(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "enumerate_even_bounded",
+                            lambda n: calls.append(n) or iter(()))
+        with pytest.raises(ValueError, match="capped at n=14"):
+            oracle_counts(15)
+        assert calls == []
 
 
 def extreme_rows(n, jmax):
