@@ -11,25 +11,24 @@ Subcommands:
   profile  per-degree-sum counts of one family (G, L, or H).
   ratio    successive quotients d(n)/d(n-1) as exact decimals.
 
-Each subcommand takes only the flags it reads: `--memory-cap` (the
-budget of every table it builds) all of them, `--cache` count, series
-and ratio, and `--format` count, profile and ratio.  verify refuses a
+Each subcommand takes only the flags _COMMANDS lists for it, and
+`--memory-cap`, the budget of every table it builds.  verify refuses a
 --max-n past the oracle's fixed cap, n = 14, before any work.
 
 Each quantity is served by one route, looked up in the QUANTITIES
 table, whose lag says how far the route reads the d series.  d is read
 from the d series and dc is d - dd.  count, ratio and verify get the
 series once, before any route runs: read from a d series cache
-(`--cache` or the DEGSEQ_CACHE environment variable, a b-file of exact
-d(n) values) if there is one, and extended in one fill, with
-d(n) = l(n) + d0(n-1), to the furthest value the request reads.  The
-cache only decides whether the series persists between runs; without
-one it lives in memory for the request.  The cache is written back
-only when the request extended the series, also when that fill fails
-or is interrupted, so an interrupted run keeps every value computed.
-A request that must extend a cache whose directory is missing or not
-writable is refused before the fill.  A route that reads no series
-(l, dd, s) does not open the cache.
+(`--cache`, else the DEGSEQ_CACHE environment variable read when the
+request runs; a b-file of exact d(n) values) if there is one, and
+extended in one fill, with d(n) = l(n) + d0(n-1), to the furthest
+value the request reads.  The cache only decides whether the series
+persists between runs; without one it lives in memory for the request.
+The cache is written back only when the request extended the series,
+also when that fill fails or is interrupted, so an interrupted run
+keeps every value computed.  A request that must extend a cache whose
+directory is missing or not writable is refused before the fill.  A
+route that reads no series (l, dd, s) does not open the cache.
 
 Exit codes: 0 success; 1 a bad request, refused with a ValueError or
 an OSError (including verify past the oracle cap and a cache that fails
@@ -280,74 +279,54 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# flag -> the argparse keywords of every subcommand that takes it.
+_FLAGS = {
+    "--memory-cap": dict(type=_positive_int, metavar="BYTES", help=(
+        "refuse table builds estimated above this many bytes")),
+    "--quantity": dict(choices=QUANTITIES, required=True),
+    "--n": dict(type=int, required=True),
+    "--range": dict(type=_parse_range, metavar="A..B", required=True),
+    "--max-n": dict(type=int, required=True),
+    "--family": dict(choices=FAMILIES, required=True),
+    "--cache": dict(help="path to the d-series b-file cache "
+                    "(default: $DEGSEQ_CACHE)"),
+    "--format": dict(choices=("table", "csv", "bfile"), default="table"),
+}
+
+# subcommand -> (handler, help, flags, defaults).  Every subcommand
+# also takes --memory-cap, first; a tuple of flags is a required
+# group of which exactly one is given.
+_COMMANDS = {
+    "count": (_cmd_count, "compute one quantity",
+              ("--quantity", ("--n", "--range"), "--cache", "--format"), {}),
+    "series": (_cmd_count, "emit a quantity over a range as b-file lines",
+               ("--quantity", "--range", "--cache"),
+               {"n": None, "format": "bfile"}),
+    "verify": (_cmd_verify, "cross-check every route against the oracle",
+               ("--max-n",), {}),
+    "profile": (_cmd_profile, "per-degree-sum counts of one family",
+                ("--n", "--family", "--format"), {}),
+    "ratio": (_cmd_ratio, "successive quotients d(n)/d(n-1), exact decimals",
+              ("--range", "--cache", "--format"), {}),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="degseq",
         description="Exact counts of degree sequences of simple graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, handler, help):
+    for name, (handler, help, flags, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        p.add_argument(
-            "--memory-cap",
-            type=_positive_int,
-            metavar="BYTES",
-            help="refuse table builds estimated above this many bytes",
-        )
-        return p
-
-    def add_cache(p):
-        p.add_argument(
-            "--cache",
-            default=os.environ.get("DEGSEQ_CACHE"),
-            help="path to the d-series b-file cache (default: $DEGSEQ_CACHE)",
-        )
-
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("table", "csv", "bfile"), default="table"
-        )
-
-    p_count = add_command("count", _cmd_count, "compute one quantity")
-    p_count.add_argument("--quantity", choices=QUANTITIES, required=True)
-    which = p_count.add_mutually_exclusive_group(required=True)
-    which.add_argument("--n", type=int)
-    which.add_argument("--range", type=_parse_range, metavar="A..B")
-    add_cache(p_count)
-    add_format(p_count)
-
-    p_series = add_command(
-        "series", _cmd_count, "emit a quantity over a range as b-file lines"
-    )
-    p_series.add_argument("--quantity", choices=QUANTITIES, required=True)
-    p_series.add_argument(
-        "--range", type=_parse_range, metavar="A..B", required=True
-    )
-    p_series.set_defaults(n=None, format="bfile")
-    add_cache(p_series)
-
-    p_verify = add_command(
-        "verify", _cmd_verify, "cross-check every route against the oracle"
-    )
-    p_verify.add_argument("--max-n", type=int, required=True)
-
-    p_profile = add_command(
-        "profile", _cmd_profile, "per-degree-sum counts of one family"
-    )
-    p_profile.add_argument("--n", type=int, required=True)
-    p_profile.add_argument("--family", choices=FAMILIES, required=True)
-    add_format(p_profile)
-
-    p_ratio = add_command(
-        "ratio", _cmd_ratio, "successive quotients d(n)/d(n-1), exact decimals"
-    )
-    p_ratio.add_argument(
-        "--range", type=_parse_range, metavar="A..B", required=True
-    )
-    add_cache(p_ratio)
-    add_format(p_ratio)
+        p.set_defaults(handler=handler, **defaults)
+        for flag in ("--memory-cap", *flags):
+            if isinstance(flag, str):
+                p.add_argument(flag, **_FLAGS[flag])
+                continue
+            group = p.add_mutually_exclusive_group(required=True)
+            for one in flag:
+                group.add_argument(one, **{**_FLAGS[one], "required": False})
     return parser
 
 
@@ -362,6 +341,8 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if "--cache" in _COMMANDS[args.command][2] and args.cache is None:
+            args.cache = os.environ.get("DEGSEQ_CACHE")
         with memory_budget(args.memory_cap):
             return args.handler(args)
     except tuple(_EXIT_CODES) as exc:

@@ -44,6 +44,7 @@ is checked against the budget set by partition_table.memory_budget.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -135,8 +136,12 @@ class DnSeries:
         return self._vals[n - 1]
 
     def append(self, value: int) -> None:
-        """Record d(n_max + 1)."""
-        n, value = self.n_max + 1, int(value)
+        """Record d(n_max + 1), an integer (a NumPy integer will do)."""
+        n = self.n_max + 1
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"d({n}) = {value!r} is not an integer") from None
         reason = _implausible(n, value, self._vals[-1] if self._vals else None)
         if reason is not None:
             raise ValueError(f"d({n}) = {value} is wrong ({reason})")

@@ -1,15 +1,17 @@
 """End-to-end tests of the command-line interface via main()."""
 
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import degseq
 from degseq import degree_counts
-from degseq.cli import QUANTITIES, main
+from degseq.cli import _COMMANDS, QUANTITIES, _build_parser, main
 from degseq.degree_counts import DnSeries, _matrix_params, count_d_basic
 from degseq.errors import MissingPriorError
 from degseq.oracle import oracle_counts
@@ -313,6 +315,24 @@ class TestHelp:
         assert out.startswith(f"usage: {' '.join(('degseq', *sub))} ")
 
 
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Command line")[1]
+        rows = {}
+        for line in section.split("\n### ")[0].splitlines():
+            cells = line.split("|")
+            if len(cells) == 4 and cells[1].strip().startswith("`"):
+                name = cells[1].strip().strip("`")
+                rows[name] = set(re.findall(r"`(--[a-z-]+)`", cells[2]))
+        assert rows == {
+            name: {"--memory-cap", *(
+                flag for entry in flags
+                for flag in ((entry,) if isinstance(entry, str) else entry)
+            )}
+            for name, (_, _, flags, _) in _COMMANDS.items()
+        }
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "request_",
@@ -467,6 +487,35 @@ class TestCacheFlow:
         assert code == 0
         assert flag_cache.exists()
         assert not env_cache.exists()
+
+    def test_empty_flag_wins_over_env(self, capsys, tmp_path, monkeypatch):
+        env_cache = tmp_path / "env.txt"
+        monkeypatch.setenv("DEGSEQ_CACHE", str(env_cache))
+        code, out, _ = run(
+            capsys, "count", "--quantity", "d", "--n", "6", "--cache", "",
+            "--format", "bfile",
+        )
+        assert code == 0
+        assert out == "6 71\n"
+        assert not env_cache.exists()
+
+    def test_verify_never_reads_the_env_cache(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        env_cache = tmp_path / "env.txt"
+        monkeypatch.setenv("DEGSEQ_CACHE", str(env_cache))
+        code, _, _ = run(capsys, "verify", "--max-n", "5")
+        assert code == 0
+        assert not env_cache.exists()
+
+    def test_env_is_read_when_the_request_runs(self, tmp_path, monkeypatch):
+        # Not when the parser is built: a parser built once would
+        # otherwise keep the first value it saw.
+        monkeypatch.setenv("DEGSEQ_CACHE", str(tmp_path / "env.txt"))
+        args = _build_parser().parse_args(
+            ["count", "--quantity", "d", "--n", "4"]
+        )
+        assert args.cache is None
 
     def test_impossible_cache_value_is_refused(self, capsys, tmp_path):
         # d(5) is 20; read unchecked, this cache made d0(5) print 32.

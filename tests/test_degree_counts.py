@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from degseq import memory_budget, partition_table
@@ -420,6 +421,13 @@ class TestDnSeries:
     def test_missing_value_raises(self):
         with pytest.raises(MissingPriorError):
             DnSeries([0, 1])[3]
+
+    def test_values_must_be_integers(self):
+        for value in (2.9, "2"):
+            with pytest.raises(ValueError, match="d\\(3\\) = .* integer"):
+                DnSeries([0, 1, value])
+        series = DnSeries([0, 1, np.int64(2)])
+        assert series[3] == 2 and type(series[3]) is int
 
     def test_extend_is_incremental(self, series_10):
         partial = extend_series(DnSeries(), 6)
