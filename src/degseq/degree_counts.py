@@ -159,7 +159,8 @@ def read_series_file(path) -> DnSeries:
     """Load a DnSeries from a b-file (`n value` per line).
 
     Blank lines and lines starting with '#' are skipped.  The remaining
-    lines must cover n = 1..n_max contiguously (any order).
+    lines must each be two fields of plain decimal digits, and cover
+    n = 1..n_max contiguously (any order).
 
     Raises:
         ValueError: a malformed file, or a value no true series holds
@@ -174,7 +175,9 @@ def read_series_file(path) -> DnSeries:
                 if not line or line.startswith("#"):
                     continue
                 fields = line.split()
-                if len(fields) != 2:
+                # The file is read as ASCII, so isdigit() takes only 0-9:
+                # int() alone would also read tokens like 2_0 or +7.
+                if len(fields) != 2 or not all(map(str.isdigit, fields)):
                     raise ValueError(f"malformed series line: {raw!r}")
                 n, value = int(fields[0]), int(fields[1])
                 if n in pairs:

@@ -32,13 +32,14 @@ no input of cell (N, k) has a larger N + k: the running difference
 reads row N of slice k - 1, the D term row N - k - l + 1 of slice
 k - 1, and the box identity row N - l of slice k - 1.
 
-  * :class:`PartitionTable` stores the full (N, k, s) grid in
-    fixed-width residues: one uint64 array per part bound k, of shape
-    (planes, R_k + 1, min(S_k, M) + 1) with S_k = (k+1)^2 // 4; in
-    layer l < L the rows above k*l stay zero.  Columns stop at S_k,
-    past which a cell is constant in s (the prefix-slack deficit
+  * :class:`PartitionTable` stores the (N, k, s) grid in fixed-width
+    residues: one uint64 array per part bound k, of shape
+    (planes, R_k + 1, B_k + 1) with B_k = min(S_k, M), S_k =
+    (k+1)^2 // 4, lowered to the slack band below in a half-height
+    table; in layer l < L the rows above k*l stay zero.  Columns stop
+    at S_k, past which a cell is constant in s (the prefix-slack deficit
     of a partition with parts <= k never exceeds j*(k+1-j)), so a read
-    takes column min(s, S_k).  Columns s > N need no special case: every
+    takes column min(s, B_k).  Columns s > N need no special case: every
     partition of N passes the test for s >= N, so the recurrence fills
     them with the s = N value.  A layer is written over layer l - 1 in
     place, with no loop over N: new minus old slice k telescopes to new
@@ -76,6 +77,30 @@ column from the table graphical_params sizes for it: every stored row
 of the column is one strided read of a slice, rows past the last that
 holds a partition are 0, and only the cells of negative sum go through
 g_prime.
+
+The slack band.  A graphical read of layer l takes slice k at column
+l - 1 - k alone (g_prime), so a half-height table, max_part <= L - 2,
+as every d-series harvest fills, stores slice k only to column
+min(B_k, (L - k)^2 // 4).  Its cells at columns s <= L - 1 - k are
+exact in every layer l <= L, and above that they may not be, so a read
+there raises ValueError (a layer view, whose target_parts is its own
+l, refuses from l - k).  Proof: the fill computes cell (k, l, s) from
+the cells (k-1, l, s), (k, l-1, s), (k-1, l-1, s) and the D term
+(k-1, l-1, s + l - k - 1), the running difference included, reading
+each at column min(c, last stored column); the unbanded fill reads
+min(c, B) instead.  The two agree at column c of slice m whenever
+c <= (L - m)^2 // 4, as min(c, B_m, (L - m)^2 // 4) = min(c, B_m)
+there.  Only D steps move the column, each by the current
+l - k - 1, which a step in k alone raises by one, a step in l alone
+lowers by one, and a D step keeps.  So a cell of slice m that a cell
+(k, l <= L, s <= L - 1 - k) depends on through a steps in k alone and
+j D steps (a + j = k - m) lies at a column at most s + j*y <= (j+1)*y,
+y = L - 1 - k + a, with (j + 1) + y = L - m: at most (L - m)^2 // 4.
+The bound is tight: in the half-height tables of n = 20 and 30,
+column L - k is wrong in some layer.  The proof holds at either height, but a full-height table
+(max_part = L - 1) keeps every column: nothing yet checks its
+harvests above the oracle, so the band waits on that check, after
+which the height condition in _slice_shape is all there is to delete.
 
 Both builds refuse, before they allocate, a table whose bytes pass the
 budget: the innermost :func:`memory_budget`'s cap, else
@@ -176,12 +201,21 @@ def _slice_rows(params: TableParams, k: int) -> int:
     return max(0, min(params.max_sum - k, k * params.target_parts))
 
 
+def _saturation(params: TableParams, k: int) -> int:
+    """The slack past which slice k is constant in s: (k+1)^2 // 4, and
+    max_sum, the largest sum any slice stores."""
+    return min((k + 1) * (k + 1) // 4, params.max_sum)
+
+
 def _slice_shape(params: TableParams, k: int) -> tuple:
     """Rows and columns slice k stores: rows 0.._slice_rows, and slacks
-    up to (k+1)^2 // 4, past which a cell is saturated in s, but not
-    above max_sum."""
-    return (_slice_rows(params, k) + 1,
-            min((k + 1) * (k + 1) // 4, params.max_sum) + 1)
+    up to its saturation, or, in a half-height table (max_part <=
+    target_parts - 2), up to the band (L - k)^2 // 4 where that is
+    lower (module docstring)."""
+    cols, L = _saturation(params, k), params.target_parts
+    if params.max_part <= L - 2:
+        cols = min(cols, (L - k) * (L - k) // 4)
+    return _slice_rows(params, k) + 1, cols + 1
 
 
 def graphical_params(n: int, top: int, kmax: int) -> TableParams:
@@ -446,10 +480,20 @@ class PartitionTable:
         """The stored values of the held layer at slice k, slack s (at
         most each row's sum), over ``rows``: one strided numpy read.
         ``rows`` must lie in the slice's stored block, as query_raw and
-        g_prime_columns check: numpy stops at its end, giving a short list."""
+        g_prime_columns check: numpy stops at its end, giving a short list.
+
+        Raises:
+            ValueError: slice k is banded and s lies above its guaranteed
+                region, s <= target_parts - 1 - k (module docstring).
+        """
         cells = self._slices[k]
+        last, L = cells.shape[2] - 1, self.params.target_parts
+        if last < _saturation(self.params, k) and s > L - 1 - k:
+            raise ValueError(
+                f"slack {s} of banded slice {k} is above {L - 1 - k}, the "
+                f"last slack layer {L} holds exactly")
         col = cells[:, rows.start : rows.stop : rows.step,
-                    min(s, cells.shape[2] - 1)].tolist()
+                    min(s, last)].tolist()
         if len(cells) == 1:
             return col[0]
         P, basis = _crt_basis(_PRIMES[: len(cells)])

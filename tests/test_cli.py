@@ -641,3 +641,21 @@ class TestCacheFlow:
         assert code == 1
         assert out == ""
         assert f"series file {cache}: {reason}" in err
+
+    @pytest.mark.parametrize("line", ["5 2_0", "4 +7"],
+                             ids=["underscore", "plus"])
+    def test_cache_fields_must_be_plain_digits(self, capsys, tmp_path, line):
+        """int() reads 2_0 and +7 as 20 and 7, the true d(5) and d(4),
+        but neither is a b-file field: the cache is refused, not used."""
+        lines = dict(enumerate(["0", "1", "2", "7", "20"], start=1))
+        n, value = line.split()
+        lines[int(n)] = value
+        cache = tmp_path / "d.txt"
+        cache.write_text("".join(f"{i} {v}\n" for i, v in lines.items()))
+        code, out, err = run(
+            capsys, "count", "--quantity", "d", "--n", "5",
+            "--cache", str(cache),
+        )
+        assert (code, out) == (1, "")
+        assert f"series file {cache}: malformed series line: " in err
+        assert line in err

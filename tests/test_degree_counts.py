@@ -239,11 +239,19 @@ class TestGraphicalMatrix:
         assert len(calls) == sum(R < 0 for R in reads)
 
 
+def unbanded_shape(params, k):
+    """_slice_shape without the band: every slice stores every slack up
+    to its saturation, at either height."""
+    return (partition_table._slice_rows(params, k) + 1,
+            partition_table._saturation(params, k) + 1)
+
+
 class TestSlackBand:
-    """The slack band a banded fill would store, pinned on today's
-    unbanded fill: in slice k no cell above column (L - k)^2 // 4, L the
-    table's target_parts, reaches a graphical read, at either height, in
-    a series harvest or in a single n's."""
+    """The slack band: in slice k no cell above column (L - k)^2 // 4, L
+    the table's target_parts, reaches a graphical read, at either height,
+    in a series harvest or in a single n's.  Half-height fills store the
+    band, so there the garbling below pins it on the banded fill; at full
+    height it pins the band on the unbanded fill."""
 
     NS = range(4, 17)
 
@@ -292,6 +300,22 @@ class TestSlackBand:
         for got, want, broken in zip(self.reads(full), clean,
                                      ([16], list(self.NS))):
             assert [n for n in self.NS if got[n] != want[n]] == broken
+
+    def test_half_height_series_matches_the_unbanded_fill(self,
+                                                          monkeypatch):
+        """The d series' harvest above the oracle: to n = 36, past
+        n = 35, the first whose half-height table has two prime planes,
+        every matrix equals the one the unbanded fill gives."""
+        ns = range(2, 37)
+        params = _matrix_params(ns[-1], False)
+        assert partition_table._planes(params) == 2
+        assert partition_table._planes(_matrix_params(34, False)) == 1
+        # The band binds: it stores under a third of the unbanded cells.
+        banded = estimate_table_bytes(params)
+        banded_matrices = self.harvest(ns, False)
+        monkeypatch.setattr(partition_table, "_slice_shape", unbanded_shape)
+        assert 3 * banded < estimate_table_bytes(params)
+        assert self.harvest(ns, False) == banded_matrices
 
 
 class TestMatrixMemo:

@@ -30,6 +30,7 @@ from degseq.partition_table import (
     TableParams,
     _PRIMES,
     _planes,
+    _saturation,
     _slice_shape,
     estimate_bounded_bytes,
     estimate_table_bytes,
@@ -137,18 +138,32 @@ def raised(params):
     return replace(params, max_sum=params.max_sum + params.max_part)
 
 
+def banded_read(read, table, k, s):
+    """read(), a read of ``table`` at slice k and slack s after the clamp
+    chain, or None where the table refuses it: a banded slice holds
+    exactly only the slacks s <= target_parts - 1 - k, and refuses a
+    read above them."""
+    try:
+        return read()
+    except ValueError as exc:
+        if "banded" not in str(exc):
+            raise
+        assert s > table.params.target_parts - 1 - k, (table.params, k, s)
+        return None
+
+
 def assert_fill_matches_reference(params):
     """Every cell of the held layer with N <= max_sum equals the
-    reference."""
+    reference, where the table answers it (banded_read)."""
     table = PartitionTable.build(raised(params))
     *_, (_, ref, off) = reference_layers(params)
     l = params.target_parts
     for N in range(params.max_sum + 1):
         for k in range(params.max_part + 1):
             for s in range(N + 1):
-                assert table.query_raw(N, k, l, s) == ref[k][off[N] + s], (
-                    params, N, k, s
-                )
+                got = banded_read(lambda: table.query_raw(N, k, l, s),
+                                  table, min(k, N), s)
+                assert got in (None, ref[k][off[N] + s]), (params, N, k, s)
 
 
 # Random table shapes for the fill tests.
@@ -519,9 +534,10 @@ class TestLayerView:
             for N in range(params.max_sum + 1):
                 for k in range(params.max_part + 1):
                     for s in range(N + 1):
-                        assert view.query_raw(N, k, l, s) == (
-                            ref[k][off[N] + s]
-                        ), (params, l, N, k, s)
+                        got = banded_read(lambda: view.query_raw(N, k, l, s),
+                                          view, min(k, N), s)
+                        assert got in (None, ref[k][off[N] + s]), (
+                            params, l, N, k, s)
             checked.append(l)
 
         PartitionTable.build(raised(params), layer_visitor=visit)
@@ -563,9 +579,11 @@ class TestColumnReader:
                 else:
                     cells = [(N, s) for s in range(cols + 1)
                              for N in range(rows)]
-                got = [layer._column(k, range(N, N + 1), s)
-                       for N, s in cells]
-                want = [[layer.query_raw(N, k, l, s)] for N, s in cells]
+                # A banded slice answers only its exact slacks.
+                got = [banded_read(lambda: layer._column(
+                    k, range(N, N + 1), s), layer, k, s) for N, s in cells]
+                want = [None if g is None else [layer.query_raw(N, k, l, s)]
+                        for g, (N, s) in zip(got, cells)]
                 assert got == want, (params, l, k)
             visited.append(l)
 
@@ -730,12 +748,14 @@ class TestStoredRegion:
     @example(PartitionTable, TableParams(40, 36, 30))
     @example(BoundedPartitionTable, TableParams(30, 8, 5))
     @example(BoundedPartitionTable, TableParams(2, 6, 1))  # k > max_sum
+    # Banded: slice 4 stores slacks to 4, and holds exactly those to 3.
+    @example(PartitionTable, TableParams(12, 5, 8))
     def test_every_stored_cell_matches_the_untrimmed_reference(self, cls,
                                                                params):
         """The reference fills every row 0..max_sum of every slice; the
         table stores rows 0..max(0, min(max_sum - k, k * target_parts))
         of slice k, each as the reference holds it (the bounded table at
-        s = N)."""
+        s = N), at every slack it answers (banded_read)."""
         table = cls.build(params)
         *_, (_, ref, off) = reference_layers(params)
         M, L = params.max_sum, params.target_parts
@@ -747,8 +767,73 @@ class TestStoredRegion:
                 continue
             assert cells.shape[1] == len(rows), (params, k)
             for s in range(cells.shape[2]):
-                assert table._column(k, rows, s) == [
-                    ref[k][off[N] + min(s, N)] for N in rows], (params, k, s)
+                got = banded_read(lambda: table._column(k, rows, s),
+                                  table, k, s)
+                assert got in (None, [ref[k][off[N] + min(s, N)]
+                                      for N in rows]), (params, k, s)
+
+
+class TestHalfHeightBand:
+    """A half-height table stores slice k to slack (L - k)^2 // 4 where
+    that is below its saturation.  Its cells to slack L - 1 - k, all a
+    graphical read reaches, hold the unbanded fill's values in every
+    layer; the cells above may not, so a read of them raises."""
+
+    @staticmethod
+    def layers(params, shape):
+        """Per layer l and slice k of a fill whose slices take ``shape``,
+        the bytes of slacks 0..L - 1 - k (those the slice stores) and
+        of slack L - k, L = target_parts."""
+        L, out = params.target_parts, {}
+
+        def visit(l, layer):
+            for k, cells in enumerate(layer._slices):
+                exact = cells[:, :, : L - k]
+                edge = cells[:, :, L - k : L - k + 1]
+                out[l, k] = (exact.tobytes(), edge.tobytes())
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(partition_table, "_slice_shape", shape)
+            PartitionTable.build(params, layer_visitor=visit)
+        return out
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_cells_to_slack_L_minus_1_minus_k_hold_the_unbanded_values(
+            self, n):
+        params = _matrix_params(n, False)
+        L = params.target_parts
+        banded = self.layers(params, _slice_shape)
+        unbanded = self.layers(params, lambda p, k: (
+            partition_table._slice_rows(p, k) + 1, _saturation(p, k) + 1))
+        assert [l for l, k in banded if k == 0] == list(range(1, L + 1))
+        narrow = [k for k in range(params.max_part + 1)
+                  if _slice_shape(params, k)[1] <= _saturation(params, k)]
+        assert len(narrow) > params.max_part // 3
+        for key, (exact, _) in banded.items():
+            assert exact == unbanded[key][0], (n, key)
+        # The region is tight: slack L - k is wrong in some layer.
+        wrong = [key for key, (_, edge) in banded.items()
+                 if edge and edge != unbanded[key][1][: len(edge)]]
+        assert wrong and {k for _, k in wrong} <= set(narrow)
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_a_read_above_the_region_raises(self, n):
+        params = _matrix_params(n, False)
+        table, L = PartitionTable.build(params), params.target_parts
+        reads = 0
+        for k in range(1, params.max_part + 1):
+            rows, cols = _slice_shape(params, k)
+            if cols > _saturation(params, k):
+                continue  # not banded: every slack is exact
+            N = rows - 1
+            assert table._column(k, range(N, N + 1), L - 1 - k)
+            with pytest.raises(ValueError, match="banded"):
+                table._column(k, range(N + 1), L - k)
+            if N >= L - k:  # a slack above N clamps to N
+                with pytest.raises(ValueError, match="banded"):
+                    table.query_raw(N, k, L, L - k)
+                reads += 1
+        assert reads > 0
 
 
 # Prints the peak resident growth of one bounded build of dd(n), n from
@@ -778,7 +863,12 @@ class TestBoundedTable:
     @example(TableParams(30, 8, 5))  # l binds rows N > 5k
     @example(TableParams(9, 0, 3))  # slice 0 only
     def test_matches_full_table_at_max_slack(self, params):
-        full = PartitionTable.build(raised(params))
+        # The full table holds at least target_parts - 1 slices, so none
+        # is banded and it answers every slack; cells do not depend on
+        # the table's size.
+        full = PartitionTable.build(replace(
+            raised(params),
+            max_part=max(params.max_part, params.target_parts - 1)))
         bounded = BoundedPartitionTable.build(raised(params))
         l = params.target_parts
         for N in range(params.max_sum + 1):
