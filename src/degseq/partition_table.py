@@ -63,9 +63,10 @@ k - 1, and the box identity row N - l of slice k - 1.
     per slice, and a fill cubic in the vertex count.
 
 In both flavours every stored cell holds the value the clamp chain
-gives its own coordinates: in layer L, row N of slice k read at slack s
-(column min(s, S_k); the bounded table's one column is s >= N) is the
-cell (N, min(k, N), min(L, N), min(s, N)).  A bounded cell is a box
+gives its own coordinates (in a half-height table, every cell up to
+the slack band's exact column, below): in layer L, row N of slice k
+read at slack s (column min(s, B_k); the bounded table's one column is
+s >= N) is the cell (N, min(k, N), min(L, N), min(s, N)).  A bounded cell is a box
 count, which clamping k and l to N leaves as it is.  In the full table
 it holds by induction over the layers: row N's D term reads the sum
 N - k - l + 1, negative once k > N or l > N, so new minus old slice k
@@ -85,22 +86,25 @@ min(B_k, (L - k)^2 // 4).  Its cells at columns s <= L - 1 - k are
 exact in every layer l <= L, and above that they may not be, so a read
 there raises ValueError (a layer view, whose target_parts is its own
 l, refuses from l - k).  Proof: the fill computes cell (k, l, s) from
-the cells (k-1, l, s), (k, l-1, s), (k-1, l-1, s) and the D term
-(k-1, l-1, s + l - k - 1), the running difference included, reading
-each at column min(c, last stored column); the unbanded fill reads
-min(c, B) instead.  The two agree at column c of slice m whenever
-c <= (L - m)^2 // 4, as min(c, B_m, (L - m)^2 // 4) = min(c, B_m)
-there.  Only D steps move the column, each by the current
-l - k - 1, which a step in k alone raises by one, a step in l alone
-lowers by one, and a D step keeps.  So a cell of slice m that a cell
-(k, l <= L, s <= L - 1 - k) depends on through a steps in k alone and
-j D steps (a + j = k - m) lies at a column at most s + j*y <= (j+1)*y,
-y = L - 1 - k + a, with (j + 1) + y = L - m: at most (L - m)^2 // 4.
+the cells (k-1, l, s), (k, l-1, s), (k-1, l-1, s) and, through the D
+term, (k-1, l-1, s + l - k - 1); the running difference computes the
+same sum.  It reads each at column min(c, the last its slice stores),
+where the unbanded fill reads min(c, B_m) in slice m.  The two reads
+agree when c <= (L - m)^2 // 4, as min(c, B_m, (L - m)^2 // 4) =
+min(c, B_m) there, so by induction over the fill a cell is exact when
+every cell it depends on, directly or not, lies within that bound.
+Only D steps move the column, each by the current l - k - 1, which a
+step in k alone raises by one, a step in l alone lowers by one, and a
+D step keeps.  So a cell of slice m that cell (k, l <= L,
+s <= L - 1 - k) depends on through a steps in k alone and j D steps
+(a + j = k - m) lies at a column at most s + j*y <= (j + 1)*y, with
+y = L - 1 - k + a and (j + 1) + y = L - m: at most (L - m)^2 // 4.
 The bound is tight: in the half-height tables of n = 20 and 30,
-column L - k is wrong in some layer.  The proof holds at either height, but a full-height table
-(max_part = L - 1) keeps every column: nothing yet checks its
-harvests above the oracle, so the band waits on that check, after
-which the height condition in _slice_shape is all there is to delete.
+column L - k is wrong in some layer.  The proof holds at either
+height, but a full-height table (max_part = L - 1) keeps every column:
+nothing yet checks its harvests above the oracle, so its band waits on
+that check, after which deleting the height condition in _slice_shape
+is the whole change.
 
 Both builds refuse, before they allocate, a table whose bytes pass the
 budget: the innermost :func:`memory_budget`'s cap, else
@@ -202,8 +206,9 @@ def _slice_rows(params: TableParams, k: int) -> int:
 
 
 def _saturation(params: TableParams, k: int) -> int:
-    """The slack past which slice k is constant in s: (k+1)^2 // 4, and
-    max_sum, the largest sum any slice stores."""
+    """The last slack slice k must store to hold every slack: (k+1)^2
+    // 4, past which it is constant in s, or max_sum where lower, as
+    no slice stores a larger sum."""
     return min((k + 1) * (k + 1) // 4, params.max_sum)
 
 
@@ -488,7 +493,7 @@ class PartitionTable:
         """
         cells = self._slices[k]
         last, L = cells.shape[2] - 1, self.params.target_parts
-        if last < _saturation(self.params, k) and s > L - 1 - k:
+        if s > L - 1 - k and last < _saturation(self.params, k):
             raise ValueError(
                 f"slack {s} of banded slice {k} is above {L - 1 - k}, the "
                 f"last slack layer {L} holds exactly")
